@@ -125,6 +125,31 @@ class QuantificationReport:
         """Launches that failed startup (conflicting combinations)."""
         return sum(1 for record in self.probes if record.failed)
 
+    def summary(self) -> "ModelBuildSummary":
+        """The compact product of this run, without the probe log."""
+        return ModelBuildSummary(
+            launches=self.launches,
+            best_values=dict(self.best_values),
+            raw_weights=dict(self.raw_weights),
+        )
+
+
+@dataclass(frozen=True)
+class ModelBuildSummary:
+    """What a campaign keeps of a quantification run.
+
+    The full :class:`QuantificationReport` logs every probe (assignment
+    and covered sites) — thousands of records that only incremental
+    rebuilds and conflict analysis read. A running campaign needs just
+    the launch count (charged to the simulated clock), the per-entity
+    best values (seeding instance bundles and reallocations) and the
+    raw weights, so this is what its checkpoints carry.
+    """
+
+    launches: int
+    best_values: Dict[str, Any]
+    raw_weights: Dict[Tuple[str, str], float]
+
 
 class RelationQuantifier:
     """Builds a relation-aware model from a configuration model and a probe.

@@ -429,13 +429,18 @@ class Message:
     # -- pickling ------------------------------------------------------------
     # Templates are derived, module-cached data; shipping them inside
     # checkpoint payloads would bloat every corpus seed (and pin
-    # struct.Struct closures into pickles). Drop and re-resolve.
+    # struct.Struct closures into pickles). A message pickles by value,
+    # as the fields it is rebuilt from; the template is re-resolved.
+
+    def __reduce__(self):
+        return (_rebuild_message, (self.model, self.rng, self._clean,
+                                   self._values, self._selections))
 
     def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_tpl", None)
-        state.pop("_state", None)
-        return state
+        """The same fields in the dict-state form :meth:`__setstate__`
+        loads (the layout pickles had before :meth:`__reduce__`)."""
+        return {"model": self.model, "rng": self.rng, "_clean": self._clean,
+                "_values": self._values, "_selections": self._selections}
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
@@ -444,3 +449,19 @@ class Message:
 
     def __repr__(self) -> str:
         return "Message(%r, %d fields)" % (self.model.name, len(self._values))
+
+
+def _rebuild_message(model: DataModel, rng, clean: bool,
+                     values: Dict[str, Any],
+                     selections: Dict[str, str]) -> Message:
+    """Unpickle a :class:`Message` from its :meth:`Message.__reduce__`
+    fields (module-level so pickle can name it)."""
+    message = Message.__new__(Message)
+    message.model = model
+    message.rng = rng
+    message._tpl = _resolve_template(model)
+    message._state = None
+    message._clean = clean
+    message._values = values
+    message._selections = selections
+    return message

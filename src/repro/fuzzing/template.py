@@ -154,7 +154,9 @@ class ModelTemplate:
     """Everything derivable from a model ahead of the hot loop."""
 
     def __init__(self, model: DataModel):
-        self.model = model
+        # Only the root is kept: the template cache is keyed weakly by
+        # the model, so a reference back to it would pin every entry.
+        self.root = model.root
         self.default_values: Dict[str, Any] = {}
         self.default_selections: Dict[str, str] = {}
         #: Every addressable dot-path (all options included) -> element.
@@ -234,7 +236,7 @@ class ModelTemplate:
             else:
                 append(prefix)
 
-        walk(self.model.root, "")
+        walk(self.root, "")
         lines = [
             "def _encode(values, message):",
             "    parts = []",

@@ -344,7 +344,11 @@ def _fresh_state(target_cls, state_model: StateModel, mode: ParallelMode,
     global_sites: Set[str] = set()
     for instance in ctx.instances:
         global_sites.update(instance.collector.total.sites())
-    coverage.record(ctx.clock.now, len(global_sites))
+    # Setup can outrun a short horizon (the model-build probe charge
+    # alone is minutes of simulated time); like every later sample, the
+    # first one is clamped so the closing record(horizon) stays in order.
+    coverage.record(min(ctx.clock.now, config.duration_hours * 3600.0),
+                    len(global_sites))
     return _LoopState(
         ctx=ctx,
         mode=mode,
@@ -386,20 +390,21 @@ def _save_checkpoint(store, state: _LoopState,
 
 
 #: Metric namespaces excluded from the exported snapshot: they depend
-#: on *when* a campaign was killed/resumed or on which infrastructure
-#: faults the weather injected — exactly what the byte-identical-export
-#: invariant must not depend on.
+#: on *when* a campaign was killed/resumed, on which infrastructure
+#: faults the weather injected or on how warm the probe cache was —
+#: exactly what the byte-identical-export invariant must not depend on.
+#: (The deterministic launch count stays as ``cmfuzz.probe_launches``.)
 _OPERATIONAL_PREFIXES = ("checkpoint.", "faultplane.", "cache.",
-                         "telemetry.")
+                         "modelbuild.", "telemetry.")
 
 
 def _strip_operational_metrics(metrics: Optional[Dict[str, Any]]):
     """Drop operational series from an exported snapshot.
 
-    Checkpoint, fault-plane, cache-health and sink-drop counters vary
-    with kill timing and injected I/O weather; they stay visible in
-    traces and the live registry, and only the deterministic export
-    snapshot omits them.
+    Checkpoint, fault-plane, cache-health, model-build and sink-drop
+    counters vary with kill timing, injected I/O weather and probe-cache
+    warmth; they stay visible in traces and the live registry, and only
+    the deterministic export snapshot omits them.
     """
     if not metrics:
         return metrics

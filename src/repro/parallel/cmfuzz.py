@@ -26,7 +26,7 @@ from repro.core.extraction import extract_entities
 from repro.core.model import ConfigurationModel
 from repro.core.mutation import ConfigMutator, GuidedConfigMutator, SaturationDetector
 from repro.core.reassembly import ConfigBundle, reassemble_group
-from repro.core.relation import RelationQuantifier
+from repro.core.relation import ModelBuildSummary, RelationQuantifier
 from repro.errors import StartupError, TargetHang
 from repro.fuzzing.engine import FuzzEngine
 from repro.parallel.base import ParallelMode
@@ -88,7 +88,7 @@ class CmFuzzMode(ParallelMode):
         self.model: Optional[ConfigurationModel] = None
         self.relation_model = None
         self.allocation: Optional[AllocationResult] = None
-        self.quantification_report = None
+        self.quantification_report: Optional[ModelBuildSummary] = None
         self._detectors: Dict[int, SaturationDetector] = {}
         self._mutators: Dict[int, ConfigMutator] = {}
         #: lost instance index -> [(survivor index, donated entity)].
@@ -142,9 +142,10 @@ class CmFuzzMode(ParallelMode):
                 aggregate=self.aggregate, telemetry=telemetry,
             )
         with telemetry.span("cmfuzz.quantify", target=target_cls.NAME):
-            self.relation_model, self.quantification_report = (
-                quantifier.quantify(self.model)
-            )
+            self.relation_model, report = quantifier.quantify(self.model)
+        # Keep only the summary: checkpoints pickle the mode, and the
+        # probe log would dominate every save.
+        self.quantification_report = report.summary()
         telemetry.counter("cmfuzz.probe_launches").inc(
             self.quantification_report.launches
         )

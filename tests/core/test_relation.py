@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.entity import ConfigEntity, Flag, ValueType
 from repro.core.model import ConfigurationModel
-from repro.core.relation import RelationQuantifier
+from repro.core.relation import ModelBuildSummary, RelationQuantifier
 from repro.coverage.bitmap import CoverageMap
 from repro.errors import StartupError
 
@@ -136,6 +136,19 @@ class TestQuantify:
         _, report = quantifier.quantify(self._model())
         assert report.best_values["a"] is True
         assert report.best_values["b"] is True
+
+    def test_summary_keeps_the_product_not_the_probe_log(self):
+        quantifier = RelationQuantifier(_synthetic_probe)
+        _, report = quantifier.quantify(self._model())
+        summary = report.summary()
+        assert isinstance(summary, ModelBuildSummary)
+        assert summary.launches == report.launches
+        assert summary.best_values == report.best_values
+        assert summary.raw_weights == report.raw_weights
+        assert not hasattr(summary, "probes")
+        # A copy: later edits to the report do not leak into it.
+        report.best_values["a"] = "edited"
+        assert summary.best_values["a"] is True
 
     def test_single_probe_caching(self):
         calls = []

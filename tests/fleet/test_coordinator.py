@@ -93,6 +93,14 @@ class TestLiveness:
             client._request("POST", "/v1/campaigns",
                             body=wire.encode(wire.HeartbeatRequest("a")))
 
+    def test_stop_returns_promptly(self):
+        server = serve().start()
+        CoordinatorClient(server.url).wait_ready()
+        started = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - started < 0.1
+        assert not server.thread.is_alive()
+
 
 class TestRegistration:
     def test_register_returns_cadence_contract(self, fleet):

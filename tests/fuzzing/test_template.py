@@ -8,6 +8,7 @@ operations and require identical observables, plus the template
 machinery's own contracts (caching, fallback, pickling).
 """
 
+import gc
 import pickle
 import random
 
@@ -24,8 +25,10 @@ from repro.fuzzing.datamodel import (
     Number,
     Size,
     Str,
+    _rebuild_message,
 )
 from repro.fuzzing.template import (
+    _TEMPLATES,
     ModelTemplate,
     UntemplatableModel,
     template_for,
@@ -122,6 +125,36 @@ class TestMessageParity:
         assert "_tpl" not in state
         assert "_state" not in state
 
+    def test_pickle_is_by_value(self):
+        """A message pickles as the fields it is rebuilt from — no
+        per-message state dict."""
+        fast, _ = _messages(_rich_model())
+        rebuild, args = fast.__reduce__()
+        assert rebuild is _rebuild_message
+        assert args == (fast.model, fast.rng, fast._clean, fast._values,
+                        fast._selections)
+
+    @pytest.mark.parametrize("clean", [True, False])
+    def test_old_dict_state_pickle_still_loads(self, monkeypatch, clean):
+        """Checkpoints and cached outcomes written before messages
+        pickled by value carry NEWOBJ + dict state; they must load."""
+        fast, slow = _messages(_rich_model())
+        if not clean:
+            fast.set("id", 99)
+            slow.set("id", 99)
+        with monkeypatch.context() as patch:
+            # Pickle the way the dict-state layout did.
+            patch.setattr(Message, "__reduce__", object.__reduce__)
+            blob = pickle.dumps(fast, protocol=pickle.HIGHEST_PROTOCOL)
+        assert b"_rebuild_message" not in blob
+        with fastpath.forced(True):
+            restored = pickle.loads(blob)
+        assert restored._tpl is not None
+        assert restored._state is None
+        assert restored._clean is clean
+        assert restored.encode() == slow.encode()
+        assert restored.fields() == fast.fields()
+
     @pytest.mark.parametrize("target", sorted(pit_registry()))
     def test_all_pit_models_encode_identically(self, target):
         state_model = pit_registry()[target]()
@@ -208,6 +241,21 @@ class TestTemplateMachinery:
         state = fast._tpl.state_for(fast._selections)
         expected = [path for path, _ in slow.fields()] + slow.choice_paths()
         assert list(state.target_paths) == expected
+
+    def test_dropped_model_frees_its_template(self):
+        """The cache is keyed weakly by the model: once a model is gone
+        its template must go too (a template pinning its own key
+        leaked one compiled graph per model ever built)."""
+        gc.collect()
+        before = len(_TEMPLATES)
+        model = _rich_model()
+        with fastpath.forced(True):
+            message = Message(model)
+            message.encode()
+            assert len(_TEMPLATES) == before + 1
+        del model, message
+        gc.collect()
+        assert len(_TEMPLATES) == before
 
     def test_unknown_leaf_kind_is_untemplatable(self):
         class Weird(DataElement):

@@ -82,6 +82,20 @@ class TestRunCampaign:
         for instance in result.instances:
             assert instance.namespace.destroyed
 
+    def test_setup_longer_than_the_horizon(self):
+        """The model-build probe charge (hundreds of simulated seconds
+        for mosquitto) can pass a short horizon before the loop starts;
+        the series must still close at the horizon, in time order."""
+        config = CampaignConfig(n_instances=2, duration_hours=0.1, seed=3,
+                                sample_interval=75.0)
+        result = run_campaign(MosquittoTarget, _mqtt_pit(), CmFuzzMode(),
+                              config)
+        times = [t for t, _ in result.coverage.points()]
+        assert times == sorted(times)
+        assert times[-1] == pytest.approx(360.0)
+        assert result.iterations == 0
+        assert result.final_coverage > 0
+
     def test_invalid_config_rejected(self):
         with pytest.raises(Exception):
             CampaignConfig(n_instances=0)

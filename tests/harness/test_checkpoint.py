@@ -14,6 +14,7 @@ import pickle
 
 import pytest
 
+from repro.core.relation import ModelBuildSummary, ProbeRecord, QuantificationReport
 from repro.errors import CampaignInterrupted, CheckpointError, SchemaVersionError
 from repro.harness.campaign import CampaignConfig, run_campaign
 from repro.harness.checkpoint import (
@@ -161,17 +162,23 @@ class TestCampaignKey:
         assert len(keys) == 4
 
 
+def _run_cmfuzz(config, abort_at=None):
+    """A dnsmasq/cmfuzz campaign, interrupted after ``abort_at``
+    iterations when given."""
+    hook = None
+    if abort_at is not None:
+        hook = lambda iterations, now: iterations >= abort_at  # noqa: E731
+    return run_campaign(
+        get_target("dnsmasq").target_cls, pit_registry()["dnsmasq"](),
+        MODES["cmfuzz"](), config, abort_hook=hook,
+    )
+
+
 class TestCampaignIntegration:
     """Checkpoint lifecycle observed through run_campaign itself."""
 
     def _run(self, config, abort_at=None):
-        hook = None
-        if abort_at is not None:
-            hook = lambda iterations, now: iterations >= abort_at  # noqa: E731
-        return run_campaign(
-            get_target("dnsmasq").target_cls, pit_registry()["dnsmasq"](),
-            MODES["cmfuzz"](), config, abort_hook=hook,
-        )
+        return _run_cmfuzz(config, abort_at=abort_at)
 
     def test_completed_campaign_clears_its_checkpoints(self, tmp_path):
         root = str(tmp_path / "ck")
@@ -221,3 +228,54 @@ class TestCampaignIntegration:
             self._run(config, abort_at=60)
         resumed = results(execute_specs([spec], workers=1))
         assert results_to_json(resumed) == reference
+
+
+class TestCheckpointContents:
+    """A checkpoint holds the resumable loop state, not the probe log."""
+
+    _CONFIG = dict(n_instances=2, duration_hours=1.0, seed=3,
+                   checkpoint_every=300.0, checkpoint_keep=10)
+
+    def _interrupted(self, tmp_path):
+        config = CampaignConfig(checkpoint_dir=str(tmp_path / "ck"),
+                                **self._CONFIG)
+        with pytest.raises(CampaignInterrupted):
+            _run_cmfuzz(config, abort_at=60)
+        store = CheckpointStore(campaign_key("dnsmasq", "cmfuzz", config),
+                                root=config.checkpoint_dir)
+        return config, store
+
+    def test_periodic_saves_carry_no_probe_records(self, tmp_path):
+        _, store = self._interrupted(tmp_path)
+        blobs = sorted(name for name in os.listdir(store.directory)
+                       if name.endswith(".pkl"))
+        assert len(blobs) >= 2, "expected periodic saves plus the interrupt"
+        for name in blobs:
+            with open(os.path.join(store.directory, name), "rb") as handle:
+                blob = handle.read()
+            assert b"ProbeRecord" not in blob, name
+            assert b"QuantificationReport" not in blob, name
+        mode = store.load_latest().state.mode
+        assert isinstance(mode.quantification_report, ModelBuildSummary)
+        assert mode.quantification_report.launches > 0
+
+    def test_full_report_checkpoint_still_resumes(self, tmp_path):
+        """Checkpoints from before the summary pickled the full report;
+        it answers the same ``launches``/``best_values``, so they resume
+        to the same export."""
+        config, store = self._interrupted(tmp_path)
+        payload = store.load_latest()
+        summary = payload.state.mode.quantification_report
+        payload.state.mode.quantification_report = QuantificationReport(
+            probes=[ProbeRecord({}, 0)] * summary.launches,
+            raw_weights=dict(summary.raw_weights),
+            best_values=dict(summary.best_values),
+        )
+        path = store.save(payload.state, sim_time=payload.sim_time,
+                          iterations=payload.iterations)
+        with open(path, "rb") as handle:
+            assert b"ProbeRecord" in handle.read()
+        resumed = _run_cmfuzz(dataclasses.replace(config, resume=True))
+        reference = _run_cmfuzz(dataclasses.replace(
+            config, checkpoint_every=None, checkpoint_dir=None))
+        assert results_to_json([resumed]) == results_to_json([reference])

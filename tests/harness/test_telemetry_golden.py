@@ -13,6 +13,7 @@ import pytest
 
 from repro.harness.campaign import CampaignConfig, run_campaign
 from repro.harness.export import result_to_dict, results_to_json
+from repro.parallel.cmfuzz import CmFuzzMode
 from repro.parallel.spfuzz import SpFuzzMode
 from repro.pits import pit_registry
 from repro.targets.dns.server import DnsmasqTarget
@@ -104,6 +105,25 @@ class TestMetricsSnapshot:
         text = results_to_json([on_result])
         assert json.loads(text)[0]["metrics"]["counters"] == \
             on_result.metrics["counters"]
+
+
+class TestProbeCacheWarmth:
+    def test_cold_and_warm_cache_exports_are_identical(self, tmp_path):
+        """Probe-cache warmth decides whether model-build probes run or
+        are served from the cache; with metrics on, the export must not
+        depend on it (the launch count stays as cmfuzz.probe_launches)."""
+        config = CampaignConfig(
+            n_instances=2, duration_hours=1.0, seed=17,
+            telemetry=TelemetryConfig(enabled=True), probe_cache=True,
+            probe_cache_dir=str(tmp_path / "cache"))
+        cold = run_campaign(DnsmasqTarget, pit_registry()["dnsmasq"](),
+                            CmFuzzMode(), config)
+        warm = run_campaign(DnsmasqTarget, pit_registry()["dnsmasq"](),
+                            CmFuzzMode(), config)
+        assert results_to_json([cold]) == results_to_json([warm])
+        counters = warm.metrics["counters"]
+        assert counters["cmfuzz.probe_launches"] > 0
+        assert not any(key.startswith("modelbuild.") for key in counters)
 
 
 class TestTraceOutput:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.allocation import allocate_round_robin
+from repro.core.relation import ModelBuildSummary
 from repro.harness.campaign import CampaignConfig, _CampaignContext, _safe_initial_start
 from repro.parallel.cmfuzz import CmFuzzMode
 from repro.pits import pit_registry
@@ -33,6 +34,14 @@ class TestPipeline:
         ctx, mode, _ = mosquitto_setup
         expected = mode.quantification_report.launches * ctx.costs.startup_probe
         assert ctx.clock.now == pytest.approx(expected)
+
+    def test_keeps_only_the_model_build_summary(self, mosquitto_setup):
+        """The probe log is dropped once the model is built; the mode
+        (and so every checkpoint) keeps the compact summary."""
+        _, mode, _ = mosquitto_setup
+        assert isinstance(mode.quantification_report, ModelBuildSummary)
+        assert mode.quantification_report.launches > 0
+        assert mode.quantification_report.best_values
 
     def test_one_group_per_instance(self, mosquitto_setup):
         ctx, _, instances = mosquitto_setup

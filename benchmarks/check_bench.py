@@ -9,10 +9,10 @@ invariants, which no amount of runner noise can excuse:
 
 - ``modelbuild`` — the warm cache must execute zero probes and the
   pipeline variants must stay bit-identical;
-- ``engine`` — the fast and slow engine legs must produce identical
-  coverage/messages, and the single-instance fast-path speedup (a
-  *ratio* of two runs on the same machine, so runner speed cancels out)
-  must stay above the record's ``min_speedup`` floor;
+- ``engine`` — the engine and reference legs must produce identical
+  coverage/messages, and the engine's single-instance speedup over the
+  reference (a *ratio* of two runs on the same machine, so runner speed
+  cancels out) must stay above the record's ``min_speedup`` floor;
 - ``ablation`` — the record must cover every mode it claims the registry
   held (``registry_modes``), the adaptive extensions (``plateau``,
   ``statemap``) must be present, and every mode needs positive coverage,
@@ -47,11 +47,11 @@ TIMING_FIELDS = {
         "warm_cache_seconds",
     ),
     "engine": (
-        "single_slow_execs_per_s",
+        "single_ref_execs_per_s",
         "single_fast_execs_per_s",
-        "e2e_slow_execs_per_s",
+        "e2e_ref_execs_per_s",
         "e2e_fast_execs_per_s",
-        "multi_slow_execs_per_s",
+        "multi_ref_execs_per_s",
         "multi_fast_execs_per_s",
     ),
     "ablation": (
@@ -88,8 +88,8 @@ def _check_modelbuild(fresh, failures):
 def _check_engine(fresh, failures):
     if fresh.get("identical") is not True:
         failures.append(
-            "engine fast/slow legs diverged (identical=%r): the fast path "
-            "no longer reproduces the reference engine's behaviour"
+            "engine/reference legs diverged (identical=%r): the engine "
+            "no longer reproduces the reference components' behaviour"
             % fresh.get("identical"))
     floor = fresh.get("min_speedup")
     speedup = fresh.get("speedup_single")
@@ -100,8 +100,8 @@ def _check_engine(fresh, failures):
         return
     if speedup < floor:
         failures.append(
-            "engine fast-path speedup regressed: %.2fx is below the %.1fx "
-            "floor (single-instance execs/sec, fast vs slow leg)"
+            "engine speedup regressed: %.2fx is below the %.2fx floor "
+            "(single-instance execs/sec, engine vs reference leg)"
             % (speedup, floor))
 
 

@@ -7,13 +7,14 @@ stable string naming that branch.  A :class:`CoverageMap` is a set-like
 bitmap of hit sites supporting union, difference and counting, which is all
 the fuzzers consume.
 
-The hot-loop fast path replaces the string-keyed dicts with a
+Campaign instances use :func:`make_collector`, whose
+:class:`InternedCoverageCollector` replaces the string-keyed dicts with a
 :class:`SiteInterner` (site string -> dense int id, once per campaign)
 and :class:`IndexedCoverageMap` (array counters + int sets with bulk
-union/diff); :func:`make_collector` picks the backing per the
-:mod:`repro.fastpath` switch. Both backends are observationally
-identical — the differential suite in
-``tests/coverage/test_indexed_equivalence.py`` enforces it.
+union/diff). The dict-backed :class:`CoverageCollector` stays as the
+public base class and the reference the differential suite in
+``tests/coverage/test_indexed_equivalence.py`` holds the interned one
+to: both are observationally identical.
 """
 
 from repro.coverage.bitmap import CoverageMap

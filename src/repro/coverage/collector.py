@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro import fastpath
 from repro.coverage.bitmap import CoverageMap
 from repro.coverage.indexed import IndexedCoverageMap
 from repro.coverage.interner import SiteInterner
@@ -68,7 +67,7 @@ class CoverageCollector:
 
 
 class InternedCoverageCollector(CoverageCollector):
-    """The fast-path collector: interned sites, int-backed maps.
+    """The campaign collector: interned sites, int-backed maps.
 
     Observationally identical to :class:`CoverageCollector` — same
     ``run``/``total``/``run_new`` attributes, same site strings at every
@@ -186,16 +185,9 @@ class InternedCoverageCollector(CoverageCollector):
         )
 
 
-def make_collector(component: str = "", fast=None) -> CoverageCollector:
-    """The collector for new hot-loop instances: interned on the fast
-    path (the default), the plain dict-backed one on the slow path.
-
-    Pass ``fast`` explicitly to reuse a flag value the caller already
-    sampled (so one construction sequence can't straddle a toggle).
-    """
-    if fastpath.enabled() if fast is None else fast:
-        return InternedCoverageCollector(component)
-    return CoverageCollector(component)
+def make_collector(component: str = "") -> CoverageCollector:
+    """The collector for new hot-loop instances: the interned one."""
+    return InternedCoverageCollector(component)
 
 
 class NullCollector(CoverageCollector):

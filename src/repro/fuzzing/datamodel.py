@@ -233,13 +233,13 @@ class Message:
     Paths are dot-joined element names, rooted below the model name
     (e.g. ``header.flags``).
 
-    When the :mod:`repro.fastpath` switch is on (the default) and the
-    model compiles, the message carries a
+    When the model compiles, the message carries a
     :class:`~repro.fuzzing.template.ModelTemplate` in ``_tpl`` and the
-    tree-walking operations below become dict probes against it; with
-    ``_tpl is None`` every method runs its original recursive body.
-    Both paths are observationally identical.  ``_tpl`` is derived data
-    and never pickled — it is re-resolved on unpickle.
+    tree-walking operations below become dict probes against it.
+    Models the compiler rejects (unknown or subclassed leaf kinds,
+    invalid ``Size`` specs) get ``_tpl is None``, and every method runs
+    its recursive body; both give identical results.  ``_tpl`` is
+    derived data and never pickled — it is re-resolved on unpickle.
     """
 
     def __init__(self, model: DataModel, rng: Optional[random.Random] = None):

@@ -1,7 +1,7 @@
-"""Compiled per-model templates: the Message fast path.
+"""Compiled per-model templates: how a Message skips its tree walks.
 
-The slow path re-walks a :class:`~repro.fuzzing.datamodel.DataModel`
-tree for every message operation — ``_populate`` at build time,
+Without a template, a message re-walks its
+:class:`~repro.fuzzing.datamodel.DataModel` tree for every operation — ``_populate`` at build time,
 ``_collect`` for ``fields()``, part-by-part resolution in
 ``element_at``, a full recursive descent (with per-call
 ``struct.pack`` format parsing) in ``encode()``.  The tree is immutable
@@ -25,11 +25,11 @@ A :class:`ModelTemplate` compiles each model **once** (cached in a
 
 Templates are derived data: :class:`~repro.fuzzing.datamodel.Message`
 never pickles its ``_tpl`` (checkpoints stay template-free) and
-re-resolves it on unpickle, honouring the :mod:`repro.fastpath` switch
-at that moment.  Models containing element types the compiler does not
-understand raise :class:`UntemplatableModel` internally and fall back
-to the slow path wholesale — behaviour, including error behaviour,
-stays identical either way.
+re-resolves it on unpickle.  Models containing element types the
+compiler does not understand (unknown or subclassed leaf kinds, invalid
+``Size`` specs) raise :class:`UntemplatableModel` internally and fall
+back to the tree walks wholesale — behaviour, including error
+behaviour, stays identical either way.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import struct
 from typing import Any, Dict, Optional, Tuple
 from weakref import WeakKeyDictionary
 
-from repro import fastpath
 from repro.fuzzing.datamodel import (
     Blob,
     Block,
@@ -55,7 +54,7 @@ _STRUCT_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 class UntemplatableModel(Exception):
     """The model contains an element the template compiler cannot prove
-    equivalent encode/populate behaviour for; use the slow path."""
+    equivalent encode/populate behaviour for; use the tree walks."""
 
 
 def _join(prefix: str, name: str) -> str:
@@ -110,7 +109,7 @@ def _emit_blob(index, path, element, lines, ns):
 
 
 def _emit_size(index, path, element, lines, ns):
-    # _compile validated bits/endian, so the Number that the slow path
+    # _compile validated bits/endian, so the Number that the tree walk
     # would build at encode time cannot fail here.
     ns["p%d" % index] = struct.Struct(
         (">" if element.endian == "big" else "<")
@@ -204,7 +203,7 @@ class ModelTemplate:
             ):
                 # Size defers width/endian validation to encode time
                 # (it builds a throwaway Number there); refuse invalid
-                # specs so the slow path keeps raising the canonical
+                # specs so the tree walk keeps raising the canonical
                 # error.
                 raise UntemplatableModel(
                     "size element %r has unsupported spec" % element.name)
@@ -263,10 +262,8 @@ _UNTEMPLATABLE = object()
 
 
 def template_for(model: DataModel) -> Optional[ModelTemplate]:
-    """The compiled template for ``model``, or ``None`` when the fast
-    path is off or the model cannot be compiled faithfully."""
-    if not fastpath.enabled():
-        return None
+    """The compiled template for ``model``, or ``None`` when the model
+    cannot be compiled faithfully."""
     template = _TEMPLATES.get(model)
     if template is None:
         try:

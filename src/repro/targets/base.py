@@ -24,6 +24,7 @@ from repro.core.extraction import ConfigSources
 from repro.coverage.bitmap import CoverageMap
 from repro.coverage.collector import CoverageCollector, make_collector
 from repro.errors import StartupError, TargetError
+from repro.targets.faults import SanitizerFault
 
 
 class ProtocolTarget:
@@ -142,15 +143,11 @@ def startup_probe_for(
         target.cov.start_run()
         try:
             target.startup(assignment)
-        except StartupError:
-            raise
-        except Exception as fault:
-            from repro.targets.faults import SanitizerFault
-
-            if on_fault is not None and isinstance(fault, SanitizerFault):
-                on_fault(fault)
-                raise StartupError(str(fault), tuple(assignment))
-            raise
+        except SanitizerFault as fault:
+            if on_fault is None:
+                raise
+            on_fault(fault)
+            raise StartupError(str(fault), tuple(assignment))
         return target.cov.end_run()
 
     return probe

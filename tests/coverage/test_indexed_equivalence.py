@@ -1,7 +1,7 @@
 """Differential suite: IndexedCoverageMap must mirror CoverageMap.
 
-A hypothesis state machine drives a slow-path :class:`CoverageMap` and a
-fast-path :class:`IndexedCoverageMap` through arbitrary operation
+A hypothesis state machine drives a dict-backed :class:`CoverageMap` and
+an int-backed :class:`IndexedCoverageMap` through arbitrary operation
 sequences (hit / merge / union / new_sites / same_sites / copy / clear /
 equality) and asserts the observable states never diverge, plus pickle
 round-trip properties for the interner, the map and the interned

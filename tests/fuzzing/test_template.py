@@ -1,8 +1,8 @@
-"""Model-template tests: the fast message path must mirror the slow one.
+"""Model-template tests: templated messages must mirror the tree walks.
 
 :mod:`repro.fuzzing.template` precompiles a model into dict-backed
 defaults, per-selection-state generated encoders and an element index;
-``Message`` consults the template whenever the fast path is on. These
+``Message`` consults the template whenever the model compiles. These
 tests drive templated and untemplated messages through the same
 operations and require identical observables, plus the template
 machinery's own contracts (caching, fallback, pickling).
@@ -14,7 +14,6 @@ import random
 
 import pytest
 
-from repro import fastpath
 from repro.fuzzing.datamodel import (
     Blob,
     Block,
@@ -34,6 +33,7 @@ from repro.fuzzing.template import (
     template_for,
 )
 from repro.pits import pit_registry
+from tests.reference import tree_walk
 
 
 def _rich_model():
@@ -55,10 +55,9 @@ def _rich_model():
 
 
 def _messages(model):
-    """A (fast, slow) message pair for the same model."""
-    with fastpath.forced(True):
-        fast = Message(model)
-    with fastpath.forced(False):
+    """A (fast, slow) pair: a templated and a tree-walking message."""
+    fast = Message(model)
+    with tree_walk():
         slow = Message(model)
     assert fast._tpl is not None, "fast message did not get a template"
     assert slow._tpl is None, "slow message unexpectedly templated"
@@ -113,8 +112,7 @@ class TestMessageParity:
         fast, slow = _messages(_rich_model())
         fast.set("id", 99)
         slow.set("id", 99)
-        with fastpath.forced(True):
-            restored = pickle.loads(pickle.dumps(fast))
+        restored = pickle.loads(pickle.dumps(fast))
         assert restored._tpl is not None
         assert restored.encode() == fast.encode() == slow.encode()
         assert restored.fields() == fast.fields()
@@ -147,8 +145,7 @@ class TestMessageParity:
             patch.setattr(Message, "__reduce__", object.__reduce__)
             blob = pickle.dumps(fast, protocol=pickle.HIGHEST_PROTOCOL)
         assert b"_rebuild_message" not in blob
-        with fastpath.forced(True):
-            restored = pickle.loads(blob)
+        restored = pickle.loads(blob)
         assert restored._tpl is not None
         assert restored._state is None
         assert restored._clean is clean
@@ -183,48 +180,37 @@ class TestMessageParity:
 class TestCleanEncodeCache:
     def test_clean_messages_share_default_bytes(self):
         model = _rich_model()
-        with fastpath.forced(True):
-            first = Message(model)
-            second = Message(model)
-            assert first.encode() == second.encode()
-            # Identity: the second encode is served from the state cache.
-            assert first.encode() is second.encode()
+        first = Message(model)
+        second = Message(model)
+        assert first.encode() == second.encode()
+        # Identity: the second encode is served from the state cache.
+        assert first.encode() is second.encode()
 
     def test_write_invalidates_cleanliness(self):
         model = _rich_model()
-        with fastpath.forced(True):
-            message = Message(model)
-            default = message.encode()
-            message.set("id", 8)
-            assert message.encode() != default
-            # A fresh message still gets the pristine bytes.
-            assert Message(model).encode() == default
+        message = Message(model)
+        default = message.encode()
+        message.set("id", 8)
+        assert message.encode() != default
+        # A fresh message still gets the pristine bytes.
+        assert Message(model).encode() == default
 
     def test_select_invalidates_cleanliness(self):
         model = _rich_model()
-        with fastpath.forced(True):
-            message = Message(model)
-            pristine = message.encode()
-            message.select("kind", "answer")
-            with fastpath.forced(False):
-                reference = Message(model)
-            reference.select("kind", "answer")
-            assert message.encode() == reference.encode()
-            assert Message(model).encode() == pristine
+        message = Message(model)
+        pristine = message.encode()
+        message.select("kind", "answer")
+        with tree_walk():
+            reference = Message(model)
+        reference.select("kind", "answer")
+        assert message.encode() == reference.encode()
+        assert Message(model).encode() == pristine
 
 
 class TestTemplateMachinery:
     def test_template_for_is_cached_per_model(self):
         model = _rich_model()
-        with fastpath.forced(True):
-            assert template_for(model) is template_for(model)
-
-    def test_template_for_respects_fastpath_switch(self):
-        model = _rich_model()
-        with fastpath.forced(False):
-            assert template_for(model) is None
-        with fastpath.forced(True):
-            assert template_for(model) is not None
+        assert template_for(model) is template_for(model)
 
     def test_state_for_caches_by_selection(self):
         template = ModelTemplate(_rich_model())
@@ -249,10 +235,9 @@ class TestTemplateMachinery:
         gc.collect()
         before = len(_TEMPLATES)
         model = _rich_model()
-        with fastpath.forced(True):
-            message = Message(model)
-            message.encode()
-            assert len(_TEMPLATES) == before + 1
+        message = Message(model)
+        message.encode()
+        assert len(_TEMPLATES) == before + 1
         del model, message
         gc.collect()
         assert len(_TEMPLATES) == before
@@ -268,8 +253,7 @@ class TestTemplateMachinery:
         model = DataModel("weird", [Weird("w")])
         with pytest.raises(UntemplatableModel):
             ModelTemplate(model)
-        with fastpath.forced(True):
-            assert template_for(model) is None
-            message = Message(model)  # falls back to the slow path
-            assert message._tpl is None
-            assert message.encode() == b""
+        assert template_for(model) is None
+        message = Message(model)  # falls back to the tree walks
+        assert message._tpl is None
+        assert message.encode() == b""

@@ -1,7 +1,7 @@
 """Differential tests for the batched channel primitives and transport.
 
 ``Endpoint.drain``/``requeue`` and ``Channel.send_many_to_server`` are
-the fast-path additions; :class:`BatchedChannelTransport` builds on them.
+the batching additions; :class:`BatchedChannelTransport` builds on them.
 Each test drives the batched primitive and its recv-loop equivalent over
 the same inputs — including faults mid-batch — and requires identical
 endpoint state, byte counters and responses afterwards.

@@ -113,3 +113,17 @@ class TestStartupProbe:
             probe({"explode": True})
         assert len(seen) == 1
         assert seen[0].function == "demo_init"
+
+    def test_non_fault_error_bypasses_the_fault_handler(self):
+        error = ValueError("not a sanitizer fault")
+
+        class _Broken(_Demo):
+            def _startup_impl(self):
+                raise error
+
+        seen = []
+        probe = startup_probe_for(_Broken, on_fault=seen.append)
+        with pytest.raises(ValueError) as exc:
+            probe({})
+        assert exc.value is error
+        assert seen == []

@@ -7,8 +7,9 @@ registry, so these tests re-run the exact capture campaigns — serial
 through the facade and pooled through the executor — and require the
 JSON to match byte-for-byte. The three registry-only targets have no
 pre-registry baseline; they are instead held to the same internal
-invariants as the seed six: fast-path parity and byte-identical
-exports through the I/O fault-plane storm.
+invariants as the seed six: parity with the reference hot-loop
+components and byte-identical exports through the I/O fault-plane
+storm.
 """
 
 import json
@@ -17,13 +18,13 @@ import tempfile
 
 import pytest
 
-from repro import fastpath
 from repro.api import run_campaign
 from repro.harness.campaign import CampaignConfig
 from repro.harness.executor import CampaignSpec, execute_specs, results
 from repro.harness.export import results_to_json
 from repro.parallel import MODES
 from repro.telemetry import TelemetryConfig
+from tests.reference import reference_components
 
 _GOLDEN_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -83,14 +84,15 @@ class TestSeedTargetsMatchPreRegistryExports:
 class TestNewTargetsHoldTheHouseInvariants:
     @pytest.mark.parametrize("name", NEW_TARGETS)
     def test_fastpath_parity(self, name):
+        """Production's templated, interned, batched hot loop against
+        the kept reference components (:mod:`tests.reference`)."""
         config = _config(seed=11)
-        with fastpath.forced(False):
-            slow = results_to_json(
+        with reference_components():
+            reference = results_to_json(
                 [run_campaign(name, mode=MODES["cmfuzz"](), config=config)])
-        with fastpath.forced(True):
-            fast = results_to_json(
-                [run_campaign(name, mode=MODES["cmfuzz"](), config=config)])
-        assert fast == slow
+        production = results_to_json(
+            [run_campaign(name, mode=MODES["cmfuzz"](), config=config)])
+        assert production == reference
 
     @staticmethod
     def _engaged_config(tmpdir, level):

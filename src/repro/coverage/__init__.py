@@ -26,7 +26,6 @@ from repro.coverage.collector import (
 )
 from repro.coverage.indexed import IndexedCoverageMap
 from repro.coverage.interner import SiteInterner
-from repro.coverage.registry import SiteRegistry
 
 __all__ = [
     "CoverageMap",
@@ -35,6 +34,5 @@ __all__ = [
     "InternedCoverageCollector",
     "NullCollector",
     "SiteInterner",
-    "SiteRegistry",
     "make_collector",
 ]

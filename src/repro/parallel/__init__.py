@@ -22,9 +22,8 @@ package loads the built-ins:
 - :mod:`repro.parallel.statemap` — reverse-state selection: per-state
   visit counts steer instances toward rarely-reached protocol states.
 
-``MODES`` is a live mapping view over the registry (name -> factory);
-out-of-tree modes join it through ``register_mode`` / discovery without
-any edit here.
+Out-of-tree modes join the catalogue through ``register_mode`` /
+discovery without any edit here.
 """
 
 from repro.parallel.base import ParallelMode
@@ -34,7 +33,6 @@ from repro.parallel.instance import FuzzingInstance
 from repro.parallel.peach import PeachParallelMode
 from repro.parallel.plateau import PlateauMode
 from repro.parallel.registry import (
-    MODES,
     ModeEntry,
     create_mode,
     mode_entries,
@@ -50,7 +48,6 @@ __all__ = [
     "CmFuzzMode",
     "FuzzingInstance",
     "HybridMode",
-    "MODES",
     "ModeEntry",
     "ParallelMode",
     "PeachParallelMode",

@@ -11,7 +11,9 @@ zero edits outside the mode's module: define the class, call
 importable (built-in modules are imported by ``repro.parallel``;
 out-of-tree modules load through discovery, below).
 
-Discovery (entry-point style) runs lazily on the first catalogue query:
+Discovery runs lazily on the first catalogue query (the shared
+:class:`repro.plugins.Catalogue` contract: thread-safe, published only
+when the whole scan succeeds, a failing plugin fails every query):
 
 - every module named in the ``CMFUZZ_MODE_MODULES`` environment variable
   (comma-separated import paths) is imported; importing a mode module
@@ -29,11 +31,10 @@ the fault plane, and ``workers=N``.
 
 from __future__ import annotations
 
-import importlib
-import os
-from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Tuple
+from typing import Callable, Tuple
+
+from repro.plugins import Catalogue, markdown_table
 
 #: Environment variable naming extra mode modules (comma-separated
 #: import paths) to import during discovery.
@@ -52,8 +53,14 @@ class ModeEntry:
     description: str = ""
 
 
-_REGISTRY: Dict[str, ModeEntry] = {}
-_discovered = False
+def _load_entry_point(point) -> None:
+    register_mode(point.name, point.load())
+
+
+#: The mode catalogue (discovery state included).
+CATALOGUE: Catalogue[ModeEntry] = Catalogue(
+    "mode", DISCOVERY_ENV, ENTRY_POINT_GROUP, _load_entry_point,
+    owner=lambda entry: (entry.factory,))
 
 
 def register_mode(name: str, factory: Callable,
@@ -64,66 +71,25 @@ def register_mode(name: str, factory: Callable,
     harmless); registering a different factory under a taken name raises
     unless ``replace=True``. Returns the :class:`ModeEntry`.
     """
-    if not name or not name.replace("-", "_").isidentifier():
-        raise ValueError("mode name must be a non-empty identifier, got %r"
-                         % (name,))
+    CATALOGUE.check_name(name)
     if not callable(factory):
         raise TypeError("mode factory for %r must be callable, got %r"
                         % (name, type(factory).__name__))
-    existing = _REGISTRY.get(name)
-    if existing is not None and not replace:
-        if existing.factory is factory:
-            return existing
-        raise ValueError(
-            "mode %r is already registered to %r (pass replace=True to "
-            "override)" % (name, existing.factory))
     if not description:
         description = (getattr(factory, "__doc__", None) or "").strip()
         description = description.splitlines()[0] if description else ""
     entry = ModeEntry(name=name, factory=factory, description=description)
-    _REGISTRY[name] = entry
-    return entry
+    return CATALOGUE.register(name, entry, replace=replace)
 
 
 def unregister_mode(name: str) -> None:
     """Remove a registration (test hygiene for throwaway modes)."""
-    _REGISTRY.pop(name, None)
-
-
-def _discover() -> None:
-    """Import out-of-tree mode modules once (env var + entry points)."""
-    global _discovered
-    if _discovered:
-        return
-    _discovered = True
-    for module_name in os.environ.get(DISCOVERY_ENV, "").split(","):
-        module_name = module_name.strip()
-        if module_name:
-            importlib.import_module(module_name)
-    try:
-        from importlib import metadata
-    except ImportError:  # pragma: no cover - py<3.8 has no importlib.metadata
-        return
-    try:
-        points = metadata.entry_points()
-    except Exception:  # pragma: no cover - broken site metadata must not
-        return         # take the built-in catalogue down with it
-    if hasattr(points, "select"):  # py3.10+
-        group = points.select(group=ENTRY_POINT_GROUP)
-    else:  # py3.9 returns a plain dict
-        group = points.get(ENTRY_POINT_GROUP, ())
-    for point in group:
-        register_mode(point.name, point.load())
+    CATALOGUE.unregister(name)
 
 
 def get_mode(name: str) -> ModeEntry:
     """Look up one registration; raises ``KeyError`` naming the catalogue."""
-    _discover()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError("unknown mode %r; registered modes: %s"
-                       % (name, ", ".join(sorted(_REGISTRY)) or "<none>"))
+    return CATALOGUE.get(name)
 
 
 def create_mode(name: str, **kwargs):
@@ -133,50 +99,16 @@ def create_mode(name: str, **kwargs):
 
 def mode_names() -> Tuple[str, ...]:
     """All registered mode names, sorted."""
-    _discover()
-    return tuple(sorted(_REGISTRY))
+    return CATALOGUE.names()
 
 
 def mode_entries() -> Tuple[ModeEntry, ...]:
     """All registrations, sorted by name."""
-    _discover()
-    return tuple(_REGISTRY[name] for name in sorted(_REGISTRY))
+    return CATALOGUE.entries()
 
 
 def render_mode_table() -> str:
     """The mode catalogue as a markdown table (README regenerates from
     this via ``python -m repro modes``)."""
-    rows = [("`%s`" % entry.name, entry.description)
-            for entry in mode_entries()]
-    width = max(len("Mode"), *(len(name) for name, _ in rows)) if rows else 4
-    lines = ["| %-*s | Description |" % (width, "Mode"),
-             "|%s|-------------|" % ("-" * (width + 2))]
-    lines.extend("| %-*s | %s |" % (width, name, description)
-                 for name, description in rows)
-    return "\n".join(lines)
-
-
-class _ModesView(Mapping):
-    """Live read-only ``name -> factory`` view over the registry.
-
-    Exported as ``repro.parallel.MODES`` so every pre-registry call site
-    (``MODES[name](**kwargs)``, ``name in MODES``, ``sorted(MODES)``)
-    keeps working while drawing from the single catalogue.
-    """
-
-    def __getitem__(self, name: str) -> Callable:
-        return get_mode(name).factory
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(mode_names())
-
-    def __len__(self) -> int:
-        _discover()
-        return len(_REGISTRY)
-
-    def __repr__(self) -> str:
-        return "MODES(%s)" % ", ".join(mode_names())
-
-
-#: The single shared mapping view (``repro.parallel.MODES``).
-MODES = _ModesView()
+    return markdown_table(("Mode", "Description"), [
+        ("`%s`" % entry.name, entry.description) for entry in mode_entries()])

@@ -2,19 +2,7 @@
 
 The paper keeps Pit files identical across fuzzers for fairness; likewise
 each target registers a single ``state_model()`` factory used by
-Peach-parallel, SPFuzz and CMFuzz alike. The catalogue derives from the
-target plugin registry, so a target's pit ships in (or next to) its own
-directory and ``set(pit_registry()) == set(target_names())`` holds by
-construction.
+Peach-parallel, SPFuzz and CMFuzz alike. The factory is part of the
+target's registration (``get_target(name).state_model``), so a target's
+pit ships in (or next to) its own directory.
 """
-
-from typing import Callable, Dict
-
-from repro.fuzzing.statemodel import StateModel
-
-
-def pit_registry() -> Dict[str, Callable[[], StateModel]]:
-    """Target name -> state-model factory for every registered target."""
-    from repro.targets.registry import target_entries
-
-    return {entry.name: entry.state_model for entry in target_entries()}

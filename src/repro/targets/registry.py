@@ -11,7 +11,9 @@ reconstruction, the probe pool's worker body, the experiment drivers and
 the benchmarks. Adding a target therefore requires zero edits outside
 its own directory (pinned by ``tests/targets/test_registry.py``).
 
-Discovery runs lazily on the first catalogue query:
+Discovery runs lazily on the first catalogue query (the shared
+:class:`repro.plugins.Catalogue` contract: thread-safe, published only
+when the whole scan succeeds, a failing plugin fails every query):
 
 - every subdirectory of ``repro/targets/`` that carries a ``target.json``
   is imported as ``repro.targets.<dirname>`` (importing the package
@@ -36,13 +38,12 @@ automatically held to them.
 
 from __future__ import annotations
 
-import importlib
 import json
 import os
-import threading
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Tuple
+
+from repro.plugins import Catalogue, markdown_table
 
 #: Environment variable naming extra target modules (comma-separated
 #: import paths) to import during discovery.
@@ -216,10 +217,28 @@ class TargetEntry:
         return self.manifest.port
 
 
-_REGISTRY: Dict[str, TargetEntry] = {}
-_discovered = False
-_discovering = False
-_discover_lock = threading.RLock()
+def _package_directory_targets() -> Tuple[str, ...]:
+    """Import paths of the ``repro.targets`` subpackages carrying a
+    ``target.json`` (the catalogue's scan hook)."""
+    root = os.path.dirname(os.path.abspath(__file__))
+    return tuple("repro.targets.%s" % entry
+                 for entry in sorted(os.listdir(root))
+                 if os.path.isfile(os.path.join(root, entry, MANIFEST_NAME)))
+
+
+def _load_entry_point(point) -> None:
+    loaded = point.load()
+    # Loading the module usually registers as a side effect; a callable
+    # entry point gets to finish its own registration.
+    if callable(loaded) and not isinstance(loaded, type):
+        loaded()
+
+
+#: The target catalogue (discovery state included).
+CATALOGUE: Catalogue[TargetEntry] = Catalogue(
+    "target", DISCOVERY_ENV, ENTRY_POINT_GROUP, _load_entry_point,
+    owner=lambda entry: (entry.target_cls, entry.state_model),
+    scan=_package_directory_targets)
 
 
 def register_target(name: str, target_cls: Callable,
@@ -235,9 +254,7 @@ def register_target(name: str, target_cls: Callable,
     a stale ``target.json`` fails loudly at registration, not mid-
     campaign. Returns the :class:`TargetEntry`.
     """
-    if not name or not name.replace("-", "_").isidentifier():
-        raise ValueError("target name must be a non-empty identifier, got %r"
-                         % (name,))
+    CATALOGUE.check_name(name)
     if not callable(target_cls):
         raise TypeError("target class for %r must be callable, got %r"
                         % (name, type(target_cls).__name__))
@@ -262,99 +279,20 @@ def register_target(name: str, target_cls: Callable,
         raise ManifestError(
             "manifest for %r declares port %r but the class carries %r"
             % (name, manifest.port, cls_port))
-    existing = _REGISTRY.get(name)
-    if existing is not None and not replace:
-        if existing.target_cls is target_cls and \
-                existing.state_model is state_model:
-            return existing
-        raise ValueError(
-            "target %r is already registered to %r (pass replace=True to "
-            "override)" % (name, existing.target_cls))
     entry = TargetEntry(name=name, target_cls=target_cls,
                         state_model=state_model, manifest=manifest,
                         description=manifest.description)
-    _REGISTRY[name] = entry
-    return entry
+    return CATALOGUE.register(name, entry, replace=replace)
 
 
 def unregister_target(name: str) -> None:
     """Remove a registration (test hygiene for throwaway targets)."""
-    _REGISTRY.pop(name, None)
-
-
-def _package_directory_targets() -> Tuple[str, ...]:
-    """Subpackages of ``repro.targets`` carrying a ``target.json``."""
-    root = os.path.dirname(os.path.abspath(__file__))
-    found = []
-    try:
-        entries = sorted(os.listdir(root))
-    except OSError:  # pragma: no cover - a broken install
-        return ()
-    for entry in entries:
-        if os.path.isfile(os.path.join(root, entry, MANIFEST_NAME)):
-            found.append(entry)
-    return tuple(found)
-
-
-def _discover() -> None:
-    """Import target packages once (directory scan, env var, entry points).
-
-    Thread-safe: concurrent catalogue queries (fleet agent threads all
-    hitting ``get_target`` at once) serialize on a lock, and
-    ``_discovered`` is only published after the scan completes, so no
-    thread can observe a half-populated registry. A target package that
-    calls back into the registry during its own import re-enters on the
-    same thread and returns immediately (``_discovering``).
-    """
-    global _discovered, _discovering
-    if _discovered:
-        return
-    with _discover_lock:
-        if _discovered or _discovering:
-            return
-        _discovering = True
-        try:
-            _discover_locked()
-        finally:
-            _discovering = False
-            _discovered = True
-
-
-def _discover_locked() -> None:
-    for subdir in _package_directory_targets():
-        importlib.import_module("repro.targets.%s" % subdir)
-    for module_name in os.environ.get(DISCOVERY_ENV, "").split(","):
-        module_name = module_name.strip()
-        if module_name:
-            importlib.import_module(module_name)
-    try:
-        from importlib import metadata
-    except ImportError:  # pragma: no cover - py<3.8 has no importlib.metadata
-        return
-    try:
-        points = metadata.entry_points()
-    except Exception:  # pragma: no cover - broken site metadata must not
-        return         # take the built-in catalogue down with it
-    if hasattr(points, "select"):  # py3.10+
-        group = points.select(group=ENTRY_POINT_GROUP)
-    else:  # py3.9 returns a plain dict
-        group = points.get(ENTRY_POINT_GROUP, ())
-    for point in group:
-        loaded = point.load()
-        # Loading the module usually registers as a side effect; a
-        # callable entry point gets to finish its own registration.
-        if callable(loaded) and not isinstance(loaded, type):
-            loaded()
+    CATALOGUE.unregister(name)
 
 
 def get_target(name: str) -> TargetEntry:
     """Look up one registration; raises ``KeyError`` naming the catalogue."""
-    _discover()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError("unknown target %r; registered targets: %s"
-                       % (name, ", ".join(sorted(_REGISTRY)) or "<none>"))
+    return CATALOGUE.get(name)
 
 
 def create_target(name: str, **kwargs):
@@ -364,64 +302,20 @@ def create_target(name: str, **kwargs):
 
 def target_names() -> Tuple[str, ...]:
     """All registered target names, sorted."""
-    _discover()
-    return tuple(sorted(_REGISTRY))
+    return CATALOGUE.names()
 
 
 def target_entries() -> Tuple[TargetEntry, ...]:
     """All registrations, sorted by name."""
-    _discover()
-    return tuple(_REGISTRY[name] for name in sorted(_REGISTRY))
+    return CATALOGUE.entries()
 
 
 def render_target_table() -> str:
     """The target catalogue as a markdown table (README regenerates from
     this via ``python -m repro targets``)."""
-    rows = [
-        ("`%s`" % entry.name, entry.protocol, str(entry.port),
-         str(entry.manifest.config_surface.get("keys", "")),
-         str(len(entry.manifest.bugs)), entry.description)
-        for entry in target_entries()
-    ]
-    headers = ("Target", "Protocol", "Port", "Config keys", "Bugs",
-               "Description")
-    widths = [len(header) for header in headers]
-    for row in rows:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-
-    def line(cells):
-        return "| %s |" % " | ".join(
-            "%-*s" % (widths[i], cells[i]) for i in range(len(headers)))
-
-    out = [line(headers),
-           "|%s|" % "|".join("-" * (width + 2) for width in widths)]
-    out.extend(line(row) for row in rows)
-    return "\n".join(out)
-
-
-class _TargetsView(Mapping):
-    """Live read-only ``name -> target class`` view over the registry.
-
-    Handed out by the deprecated ``repro.targets.target_registry()`` so
-    every pre-registry call site (``registry[name]``, ``name in
-    registry``, ``sorted(registry)``, ``.items()``) keeps working while
-    drawing from the single catalogue.
-    """
-
-    def __getitem__(self, name: str) -> Callable:
-        return get_target(name).target_cls
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(target_names())
-
-    def __len__(self) -> int:
-        _discover()
-        return len(_REGISTRY)
-
-    def __repr__(self) -> str:
-        return "TARGETS(%s)" % ", ".join(target_names())
-
-
-#: The single shared mapping view (returned by ``target_registry()``).
-TARGETS_VIEW = _TargetsView()
+    return markdown_table(
+        ("Target", "Protocol", "Port", "Config keys", "Bugs", "Description"),
+        [("`%s`" % entry.name, entry.protocol, str(entry.port),
+          str(entry.manifest.config_surface.get("keys", "")),
+          str(len(entry.manifest.bugs)), entry.description)
+         for entry in target_entries()])

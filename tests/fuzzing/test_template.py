@@ -32,7 +32,7 @@ from repro.fuzzing.template import (
     UntemplatableModel,
     template_for,
 )
-from repro.pits import pit_registry
+from repro.targets import get_target, target_names
 from tests.reference import tree_walk
 
 
@@ -152,9 +152,9 @@ class TestMessageParity:
         assert restored.encode() == slow.encode()
         assert restored.fields() == fast.fields()
 
-    @pytest.mark.parametrize("target", sorted(pit_registry()))
+    @pytest.mark.parametrize("target", target_names())
     def test_all_pit_models_encode_identically(self, target):
-        state_model = pit_registry()[target]()
+        state_model = get_target(target).state_model()
         rng = random.Random(42)
         for data_model in state_model.data_models():
             fast, slow = _messages(data_model)

@@ -25,8 +25,7 @@ from repro.harness.checkpoint import (
 )
 from repro.harness.executor import CampaignSpec, execute_specs, results
 from repro.harness.export import results_to_json
-from repro.parallel import MODES
-from repro.pits import pit_registry
+from repro.parallel import create_mode
 from repro.targets import get_target
 
 
@@ -169,8 +168,8 @@ def _run_cmfuzz(config, abort_at=None):
     if abort_at is not None:
         hook = lambda iterations, now: iterations >= abort_at  # noqa: E731
     return run_campaign(
-        get_target("dnsmasq").target_cls, pit_registry()["dnsmasq"](),
-        MODES["cmfuzz"](), config, abort_hook=hook,
+        get_target("dnsmasq").target_cls, get_target("dnsmasq").state_model(),
+        create_mode("cmfuzz"), config, abort_hook=hook,
     )
 
 

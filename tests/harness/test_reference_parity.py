@@ -18,8 +18,7 @@ from repro.coverage.collector import CoverageCollector
 from repro.errors import CampaignInterrupted
 from repro.harness.campaign import CampaignConfig, run_campaign
 from repro.harness.export import results_to_json
-from repro.parallel import MODES, mode_names
-from repro.pits import pit_registry
+from repro.parallel import create_mode, mode_names
 from repro.targets import get_target
 from tests.reference import reference_components
 
@@ -43,8 +42,8 @@ def _export(mode_name, config, reference, abort_at=None):
         hook = lambda iterations, now: iterations >= abort_at  # noqa: E731
     with reference_components() if reference else nullcontext():
         return results_to_json([run_campaign(
-            get_target("dnsmasq").target_cls, pit_registry()["dnsmasq"](),
-            MODES[mode_name](), config, abort_hook=hook,
+            get_target("dnsmasq").target_cls, get_target("dnsmasq").state_model(),
+            create_mode(mode_name), config, abort_hook=hook,
         )])
 
 
@@ -53,7 +52,7 @@ def test_reference_components_are_in_effect():
     from repro.fuzzing.datamodel import Message
     from repro.parallel.instance import FuzzingInstance
 
-    model = pit_registry()["dnsmasq"]().data_models()[0]
+    model = get_target("dnsmasq").state_model().data_models()[0]
     instance = FuzzingInstance(0, get_target("dnsmasq").target_cls, None,
                                None)
     assert Message(model)._tpl is not None

@@ -25,8 +25,7 @@ from repro.harness.export import (
     results_to_json,
     validate_export_dict,
 )
-from repro.parallel import MODES, mode_names
-from repro.pits import pit_registry
+from repro.parallel import create_mode, mode_names
 from repro.targets import get_target
 
 _SETTINGS = dict(
@@ -40,8 +39,8 @@ def _run(mode_name, config, abort_at=None):
     if abort_at is not None:
         hook = lambda iterations, now: iterations >= abort_at  # noqa: E731
     return run_campaign(
-        get_target("dnsmasq").target_cls, pit_registry()["dnsmasq"](),
-        MODES[mode_name](), config, abort_hook=hook,
+        get_target("dnsmasq").target_cls, get_target("dnsmasq").state_model(),
+        create_mode(mode_name), config, abort_hook=hook,
     )
 
 

@@ -15,7 +15,7 @@ from repro.harness.campaign import CampaignConfig, run_campaign
 from repro.harness.export import result_to_dict, results_to_json
 from repro.parallel.cmfuzz import CmFuzzMode
 from repro.parallel.spfuzz import SpFuzzMode
-from repro.pits import pit_registry
+from repro.targets import get_target
 from repro.targets.dns.server import DnsmasqTarget
 from repro.telemetry import TelemetryConfig
 
@@ -35,7 +35,7 @@ def _run(telemetry=None, trace_path=None, seed=17):
         telemetry = None
     config = CampaignConfig(n_instances=2, duration_hours=2.0, seed=seed,
                             telemetry=telemetry)
-    return run_campaign(DnsmasqTarget, pit_registry()["dnsmasq"](),
+    return run_campaign(DnsmasqTarget, get_target("dnsmasq").state_model(),
                         SpFuzzMode(), config)
 
 
@@ -116,9 +116,9 @@ class TestProbeCacheWarmth:
             n_instances=2, duration_hours=1.0, seed=17,
             telemetry=TelemetryConfig(enabled=True), probe_cache=True,
             probe_cache_dir=str(tmp_path / "cache"))
-        cold = run_campaign(DnsmasqTarget, pit_registry()["dnsmasq"](),
+        cold = run_campaign(DnsmasqTarget, get_target("dnsmasq").state_model(),
                             CmFuzzMode(), config)
-        warm = run_campaign(DnsmasqTarget, pit_registry()["dnsmasq"](),
+        warm = run_campaign(DnsmasqTarget, get_target("dnsmasq").state_model(),
                             CmFuzzMode(), config)
         assert results_to_json([cold]) == results_to_json([warm])
         counters = warm.metrics["counters"]

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.harness.campaign import CampaignConfig, _CampaignContext
 from repro.parallel import (
-    MODES,
     ModeEntry,
     create_mode,
     mode_entries,
@@ -31,7 +30,8 @@ from repro.parallel import (
     unregister_mode,
 )
 from repro.parallel import registry as registry_module
-from repro.pits import pit_registry
+from repro.parallel.registry import get_mode
+from repro.targets import get_target
 from repro.targets.dns.server import DnsmasqTarget
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -45,7 +45,7 @@ BUILTIN_MODES = ("cmfuzz", "hybrid", "peach", "plateau", "spfuzz", "statemap")
 
 def _ctx(n_instances=2, seed=1):
     config = CampaignConfig(n_instances=n_instances, seed=seed)
-    return _CampaignContext(DnsmasqTarget, pit_registry()["dnsmasq"](),
+    return _CampaignContext(DnsmasqTarget, get_target("dnsmasq").state_model(),
                             config)
 
 
@@ -56,11 +56,6 @@ class TestCatalogue:
     def test_names_sorted_and_stable(self):
         assert list(mode_names()) == sorted(mode_names())
         assert mode_names() == mode_names()
-
-    def test_view_and_registry_agree(self):
-        assert set(MODES) == set(mode_names())
-        for name in mode_names():
-            assert callable(MODES[name])
 
     def test_entries_carry_descriptions(self):
         for entry in mode_entries():
@@ -97,7 +92,7 @@ class TestRegistration:
         register_mode("dummy-zero-edit", factory)
         try:
             assert "dummy-zero-edit" in mode_names()
-            assert MODES["dummy-zero-edit"] is factory
+            assert get_mode("dummy-zero-edit").factory is factory
             assert "dummy-zero-edit" in render_mode_table()
             # The CLI parser is rebuilt per invocation, so a fresh build
             # must offer the new mode.
@@ -130,11 +125,11 @@ class TestRegistration:
 
         register_mode("peach", other, "shadow", replace=True)
         try:
-            assert MODES["peach"] is other
+            assert get_mode("peach").factory is other
         finally:
             register_mode("peach", original.factory, original.description,
                           replace=True)
-        assert MODES["peach"] is original.factory
+        assert get_mode("peach").factory is original.factory
 
     def test_invalid_names_and_factories_rejected(self):
         with pytest.raises(ValueError):
@@ -164,7 +159,8 @@ class TestDiscovery:
             monkeypatch.syspath_prepend(tmpdir)
             monkeypatch.setenv(registry_module.DISCOVERY_ENV,
                                "_cmfuzz_plugin_mode")
-            monkeypatch.setattr(registry_module, "_discovered", False)
+            monkeypatch.setattr(registry_module.CATALOGUE, "_discovered",
+                                False)
             try:
                 assert "plugin-discovered" in mode_names()
             finally:

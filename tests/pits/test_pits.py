@@ -4,13 +4,12 @@ import random
 
 import pytest
 
-from repro.pits import pit_registry
-from repro.targets import get_target, target_names
+from repro.targets import get_target, target_entries, target_names
 
 
 @pytest.fixture(scope="module")
 def pits():
-    return {name: factory() for name, factory in pit_registry().items()}
+    return {entry.name: entry.state_model() for entry in target_entries()}
 
 
 class TestRegistryAlignment:
@@ -18,8 +17,8 @@ class TestRegistryAlignment:
         assert set(pits) == set(target_names())
 
     def test_pits_are_freshly_constructed(self):
-        registry = pit_registry()
-        assert registry["mosquitto"]() is not registry["mosquitto"]()
+        factory = get_target("mosquitto").state_model
+        assert factory() is not factory()
 
 
 class TestPitWellFormedness:
@@ -48,7 +47,7 @@ class TestPitWellFormedness:
 class TestDefaultMessagesAccepted:
     """Default (unmutated) pit messages should mostly be protocol-valid."""
 
-    @pytest.mark.parametrize("name", sorted(pit_registry()))
+    @pytest.mark.parametrize("name", target_names())
     def test_default_session_produces_coverage_without_crash(self, name, pits):
         target_cls = get_target(name).target_cls
         target = target_cls()

@@ -22,8 +22,7 @@ from repro.harness import campaign
 from repro.harness.campaign import CampaignConfig
 from repro.harness.executor import CampaignSpec, execute_specs, results
 from repro.harness.export import results_to_json
-from repro.parallel import MODES, mode_names
-from repro.pits import pit_registry
+from repro.parallel import create_mode, mode_names
 from repro.targets import get_target, target_names
 
 _GOLDEN_PATH = os.path.join(
@@ -61,7 +60,7 @@ def test_golden_covers_every_registered_mode_and_target():
 
 @pytest.mark.parametrize("mode,target", CELLS)
 def test_serial_export_is_byte_identical(mode, target):
-    result = run_campaign(target, mode=MODES[mode](), config=_config())
+    result = run_campaign(target, mode=create_mode(mode), config=_config())
     assert results_to_json([result]) == _GOLDENS[mode][target]
 
 
@@ -85,8 +84,8 @@ def test_kill_and_resume_matches_golden(mode):
 
         def run(config, hook=None):
             return campaign.run_campaign(
-                entry.target_cls, pit_registry()["dnsmasq"](),
-                MODES[mode](), config, abort_hook=hook)
+                entry.target_cls, get_target("dnsmasq").state_model(),
+                create_mode(mode), config, abort_hook=hook)
 
         with pytest.raises(CampaignInterrupted):
             run(config, hook=lambda iterations, now: now >= 1800)

@@ -22,7 +22,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.targets import (
-    TARGETS_VIEW,
     ManifestError,
     TargetEntry,
     TargetManifest,
@@ -33,7 +32,6 @@ from repro.targets import (
     render_target_table,
     target_entries,
     target_names,
-    target_registry,
     unregister_target,
     validate_manifest,
 )
@@ -72,11 +70,6 @@ class TestCatalogue:
     def test_names_sorted_and_stable(self):
         assert list(target_names()) == sorted(target_names())
         assert target_names() == target_names()
-
-    def test_view_and_registry_agree(self):
-        assert set(TARGETS_VIEW) == set(target_names())
-        for name in target_names():
-            assert TARGETS_VIEW[name] is get_target(name).target_cls
 
     def test_entries_carry_validated_manifests(self):
         for entry in target_entries():
@@ -180,14 +173,13 @@ class TestRegistration:
         family member — shows up in every derived surface without
         touching any of them."""
         from repro.cli import _build_parser
-        from repro.pits import pit_registry
         from repro.targets.randtarget import register_family_member
 
         name = register_family_member(411)
         try:
             assert name in target_names()
             assert "`%s`" % name in render_target_table()
-            assert name in pit_registry()
+            assert get_target(name).state_model().data_models()
             # The CLI parser is rebuilt per invocation, so a fresh build
             # must offer the new target.
             assert name in _campaign_target_choices(_build_parser())
@@ -315,7 +307,8 @@ class TestDiscovery:
             monkeypatch.syspath_prepend(tmpdir)
             monkeypatch.setenv(registry_module.DISCOVERY_ENV,
                                "_cmfuzz_plugin_target")
-            monkeypatch.setattr(registry_module, "_discovered", False)
+            monkeypatch.setattr(registry_module.CATALOGUE, "_discovered",
+                                False)
             try:
                 assert "plugin_echo" in target_names()
                 target = create_target("plugin_echo")
@@ -326,26 +319,13 @@ class TestDiscovery:
                 sys.modules.pop("_cmfuzz_plugin_target", None)
 
     def test_directory_scan_covers_every_builtin(self):
-        subdirs = registry_module._package_directory_targets()
+        modules = registry_module._package_directory_targets()
         for entry in target_entries():
             if entry.name in BUILTIN_TARGETS:
                 package = sys.modules[entry.target_cls.__module__]
                 directory = os.path.basename(os.path.dirname(
                     os.path.abspath(package.__file__)))
-                assert directory in subdirs
-
-
-class TestDeprecatedView:
-    def test_target_registry_warns_and_returns_live_view(self):
-        with pytest.warns(DeprecationWarning, match="target_entries"):
-            view = target_registry()
-        assert view is TARGETS_VIEW
-        assert set(view) == set(target_names())
-        assert view["dnsmasq"] is get_target("dnsmasq").target_cls
-
-    def test_view_is_read_only(self):
-        with pytest.raises(TypeError):
-            TARGETS_VIEW["dnsmasq"] = object  # type: ignore[index]
+                assert "repro.targets.%s" % directory in modules
 
 
 def _campaign_target_choices(parser):
@@ -369,14 +349,6 @@ class TestConsumersAgree:
         out = io.StringIO()
         assert main(["targets"], out=out) == 0
         assert out.getvalue().strip() == render_target_table().strip()
-
-    def test_pit_registry_derives_from_target_entries(self):
-        from repro.pits import pit_registry
-
-        pits = pit_registry()
-        assert set(pits) == set(target_names())
-        for entry in target_entries():
-            assert pits[entry.name] is entry.state_model
 
     def test_readme_target_table_is_generated_from_registry(self):
         with open(os.path.join(_REPO_ROOT, "README.md"),

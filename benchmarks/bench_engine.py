@@ -29,8 +29,9 @@ path.
 Every leg runs both flavours from the same seed and asserts the final
 coverage map and message count are identical — the benchmark refuses
 to report a speedup that changed behaviour. Timing protocol: best of
-``CMFUZZ_BENCH_ENGINE_REPEATS`` runs (default 5), GC disabled inside
-the timed region, fixed seeds throughout.
+``CMFUZZ_BENCH_ENGINE_REPEATS`` runs (default 5) per flavour, the
+reference and engine runs alternating, GC disabled inside the timed
+region, fixed seeds throughout.
 
 Runs with the bench suite (``pytest benchmarks/bench_engine.py``) or
 standalone (``python benchmarks/bench_engine.py``).
@@ -147,18 +148,22 @@ def _timed(build, iterations):
     return elapsed, _snapshot(cov), engine.total_messages
 
 
-def _leg(reference, build, iterations, repeats=None):
-    """Best-of-``repeats`` execs/sec for one flavour."""
-    best = None
-    outcome = None
-    with _flavour(reference) as collector_cls:
-        for _ in range(repeats or REPEATS):
-            elapsed, snapshot, messages = _timed(
-                lambda seed: build(seed, collector_cls, reference),
-                iterations)
-            best = elapsed if best is None else min(best, elapsed)
-            outcome = (snapshot, messages)
-    return iterations / best, outcome
+def _legs(build, iterations):
+    """Best-of-``REPEATS`` execs/sec and the final outcome, keyed by
+    flavour (``True`` is the reference). The flavours alternate run by
+    run, so minute-scale drift in machine speed hits both alike."""
+    best = {}
+    outcome = {}
+    for _ in range(REPEATS):
+        for reference in (True, False):
+            with _flavour(reference) as collector_cls:
+                elapsed, snapshot, messages = _timed(
+                    lambda seed: build(seed, collector_cls, reference),
+                    iterations)
+            best[reference] = min(elapsed, best.get(reference, elapsed))
+            outcome[reference] = (snapshot, messages)
+    return ({flavour: iterations / elapsed
+             for flavour, elapsed in best.items()}, outcome)
 
 
 def _multi_leg(reference):
@@ -182,14 +187,14 @@ def _multi_leg(reference):
 
 def run_bench():
     """Returns the ``BENCH_engine.json`` record."""
-    single_ref, single_ref_outcome = _leg(True, _feather_engine, ITERATIONS)
-    single_fast, single_fast_outcome = _leg(False, _feather_engine, ITERATIONS)
-    e2e_ref, e2e_ref_outcome = _leg(True, _e2e_engine, E2E_ITERATIONS)
-    e2e_fast, e2e_fast_outcome = _leg(False, _e2e_engine, E2E_ITERATIONS)
+    single, single_outcome = _legs(_feather_engine, ITERATIONS)
+    single_ref, single_fast = single[True], single[False]
+    e2e, e2e_outcome = _legs(_e2e_engine, E2E_ITERATIONS)
+    e2e_ref, e2e_fast = e2e[True], e2e[False]
     multi_ref = _multi_leg(True)
     multi_fast = _multi_leg(False)
-    identical = (single_ref_outcome == single_fast_outcome
-                 and e2e_ref_outcome == e2e_fast_outcome)
+    identical = (single_outcome[True] == single_outcome[False]
+                 and e2e_outcome[True] == e2e_outcome[False])
     return {
         "bench": "engine",
         "target": TARGET,

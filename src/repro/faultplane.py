@@ -53,9 +53,11 @@ __all__ = [
     "FaultPlan",
     "InjectedIOError",
     "IoGiveUp",
+    "MAX_INJECTED_DEATHS",
     "NULL_INJECTOR",
     "RetryClock",
     "corrupt_bytes",
+    "doom_worker",
 ]
 
 #: A transient I/O error: the op is retried on the backoff schedule.
@@ -339,3 +341,21 @@ class FaultInjector:
 #: The shared disabled injector: consults nothing, injects nothing, but
 #: still applies the retry/degrade contract to *real* I/O errors.
 NULL_INJECTOR = FaultInjector()
+
+
+#: Cap on injected worker deaths per cell, so an io-chaos level of 1.0
+#: cannot doom every relaunch forever and livelock the pool or the fleet.
+MAX_INJECTED_DEATHS = 3
+
+
+def doom_worker(injector: Optional[FaultInjector], site: str, key: Any,
+                deaths: Dict[Any, int]) -> bool:
+    """Whether the plan kills the worker about to run cell ``key``;
+    ``deaths`` is the caller's per-cell tally against the cap."""
+    if injector is None or not injector.enabled \
+            or deaths.get(key, 0) >= MAX_INJECTED_DEATHS:
+        return False
+    if injector.fault_for(site, kinds=(FAULT_WORKER_DEATH,)) is None:
+        return False
+    deaths[key] = deaths.get(key, 0) + 1
+    return True

@@ -2,9 +2,11 @@
 
 A stdlib-only coordinator/worker architecture over the existing cell
 machinery. The **coordinator** (:mod:`repro.fleet.coordinator`) owns a
-deterministic lease table per submitted campaign and serves an
-HTTP+JSON API; **worker agents** (:mod:`repro.fleet.agent`) register,
-heartbeat, lease cells, execute them through ``run_spec`` + the shared
+:class:`~repro.harness.leases.LeaseTable` per submitted campaign — the
+state machine the local pool drives too, so retries and refunds follow
+one set of rules on both backends — and serves an HTTP+JSON API;
+**worker agents** (:mod:`repro.fleet.agent`) register, heartbeat,
+lease cells, execute them through ``run_spec`` + the shared
 content-addressed cache, and report outcomes. Missed heartbeats expire
 leases and re-assign cells (work-stealing from the slowest queue);
 lease fencing epochs discard zombie results; the shared cache plus
@@ -19,14 +21,14 @@ agents at arbitrary points and pins the invariant down; CI's
 ``fleet-smoke`` job does it once more over real processes and SIGKILL.
 
 :func:`run_specs_fleet` is the executor's ``backend="fleet"`` dispatch
-target: same signature shape as the local pool path, same
-:class:`~repro.harness.pool.CellResult` list back.
+target: same signature shape as the local pool path, and the same
+:func:`~repro.harness.pool.settled_result` fold to its
+:class:`~repro.harness.pool.CellResult` list.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from typing import Callable, List, Optional, Sequence
 
 from repro.fleet import wire
@@ -42,7 +44,8 @@ from repro.fleet.coordinator import (
     FleetServer,
     serve,
 )
-from repro.fleet.leases import LeaseTable
+from repro.harness.leases import LeaseTable
+from repro.harness.pool import settled_result
 from repro.telemetry import NULL_TELEMETRY
 
 __all__ = [
@@ -75,31 +78,16 @@ def collect_cells(client, session_id: str, specs: Sequence,
     (and any export derived from it) is independent of which agent
     finished which cell when.
     """
-    from repro.harness.pool import CellFailure, CellResult
-
     status = status or client.status(session_id)
     by_index = {cell.index: cell for cell in status.cells}
-    results: List[CellResult] = []
+    results = []
     for index, spec in enumerate(specs):
-        cell = by_index[index]
         report = client.cell_result(session_id, index)
-        if report.outcome_blob is not None:
-            results.append(CellResult(
-                index=index, spec=spec, outcome=wire.unpack(report.outcome_blob),
-                from_cache=report.from_cache, attempts=cell.attempts,
-            ))
-        else:
-            failure = dict(report.failure or {})
-            results.append(CellResult(
-                index=index, spec=spec,
-                failure=CellFailure(
-                    kind=failure.get("kind", "exception"),
-                    message=failure.get("message", ""),
-                    traceback=failure.get("traceback", ""),
-                    exitcode=failure.get("exitcode"),
-                ),
-                attempts=cell.attempts,
-            ))
+        blob = report.outcome_blob
+        results.append(settled_result(
+            index, spec, by_index[index].attempts,
+            outcome=None if blob is None else wire.unpack(blob),
+            failure=report.failure, from_cache=report.from_cache))
     return results
 
 
@@ -150,6 +138,7 @@ def run_specs_fleet(
                 "backend='fleet' with a remote coordinator cannot ship a "
                 "custom runner; agents execute run_spec")
         client = CoordinatorClient(coordinator)
+        client.wait_ready()  # a coordinator started alongside may still bind
         accepted = client.submit(blobs, retries=retries, label=label)
         status = wait_for_session(client, accepted.session_id, poll=poll,
                                   timeout=timeout)
@@ -186,6 +175,3 @@ def run_specs_fleet(
         for thread in threads:
             thread.join(5.0)
         server.stop()
-        # The ephemeral fleet must not leak wall-clock sensitivity into
-        # callers that immediately re-enter (tests loop tightly).
-        time.sleep(0)

@@ -16,9 +16,10 @@ re-leases) runs it:
 - a lease's fencing epoch rides along to the report, so work finished
   after the coordinator expired the lease is discarded server-side —
   the agent never has to reason about whether it is a zombie;
-- failures are reported as structured records (the pool's
-  :class:`~repro.harness.pool.CellFailure` shape) and charged against
-  the cell's retry budget by the coordinator, not locally.
+- failures are reported as the fields of a
+  :class:`~repro.harness.pool.CellFailure` and charged against the
+  cell's retry budget by the coordinator's
+  :class:`~repro.harness.leases.LeaseTable`, not locally.
 
 The heartbeat runs on its own daemon thread at the cadence the
 coordinator dictated at registration; an ``expired`` heartbeat answer
@@ -26,32 +27,29 @@ coordinator dictated at registration; an ``expired`` heartbeat answer
 identity, abandoning any stale lease to the epoch fence.
 
 An optional fault-plane injector dooms cells before execution
-(``fleet.agent`` site, worker-death kind): the agent *releases* the
-lease unexecuted — observationally a crash, minus the wall-clock wait
-for expiry — capped per cell so a level-1.0 plan cannot livelock the
-fleet. Mirrors the pool's injected-death policy: no retry budget is
-charged, and exports stay byte-identical.
+(``fleet.agent`` site, through :func:`repro.faultplane.doom_worker`,
+the pool's helper and cap): the agent *releases* the lease unexecuted —
+observationally a crash, minus the wall-clock wait for expiry. The
+release refunds the attempt, so exports stay byte-identical.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import os
 import socket
 import threading
 import time
-import traceback
 from typing import Any, Callable, Dict, Optional
 
-from repro.faultplane import FAULT_WORKER_DEATH
+from repro.faultplane import doom_worker
 from repro.fleet import wire
 from repro.fleet.client import CoordinatorClient, CoordinatorUnavailable
+from repro.harness.pool import CellFailure
 from repro.telemetry import NULL_TELEMETRY
 
 __all__ = ["FleetAgent", "LocalClient"]
-
-#: Injected-death cap per (session, cell), mirroring the pool's
-#: ``_MAX_INJECTED_DEATHS``.
-_MAX_INJECTED_DEATHS = 3
 
 
 class LocalClient:
@@ -129,7 +127,7 @@ class FleetAgent:
         self._stop = threading.Event()
         self._heartbeat_interval = 5.0
         self._heartbeat_thread: Optional[threading.Thread] = None
-        self._doomed_counts: Dict[Any, int] = {}
+        self._deaths: Dict[Any, int] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -210,21 +208,9 @@ class FleetAgent:
                                       injector=self.injector)
         return self._store
 
-    def _doomed(self, grant: wire.LeaseGrant) -> bool:
-        if self.injector is None or not getattr(self.injector, "enabled",
-                                                False):
-            return False
-        key = (grant.session_id, grant.cell_index)
-        if self._doomed_counts.get(key, 0) >= _MAX_INJECTED_DEATHS:
-            return False
-        doomed = self.injector.fault_for(
-            "fleet.agent", kinds=(FAULT_WORKER_DEATH,)) is not None
-        if doomed:
-            self._doomed_counts[key] = self._doomed_counts.get(key, 0) + 1
-        return doomed
-
     def _execute(self, grant: wire.LeaseGrant) -> None:
-        if self._doomed(grant):
+        if doom_worker(self.injector, "fleet.agent",
+                       (grant.session_id, grant.cell_index), self._deaths):
             # Simulated crash: hand the lease back unexecuted. The
             # coordinator re-pends it without charging the retry budget
             # (the same lease-style policy as injected pool deaths).
@@ -251,35 +237,25 @@ class FleetAgent:
 
     def _run_cell(self, spec: Any,
                   grant: wire.LeaseGrant) -> wire.ResultReport:
+        report = functools.partial(
+            wire.ResultReport, agent_id=self.agent_id,
+            session_id=grant.session_id, cell_index=grant.cell_index,
+            epoch=grant.epoch)
         store = self._result_store()
         key = spec.cache_key(self.runner) if store is not None else None
         if store is not None:
             hit = store.get(key)
             if hit is not None:
-                return wire.ResultReport(
-                    agent_id=self.agent_id, session_id=grant.session_id,
-                    cell_index=grant.cell_index, epoch=grant.epoch,
-                    outcome_blob=wire.pack(hit), from_cache=True)
+                return report(outcome_blob=wire.pack(hit), from_cache=True)
         started = time.monotonic()
         try:
             outcome = self.runner(spec)
         except Exception as exc:  # noqa: BLE001 - shipped as a record
+            return report(failure=dataclasses.asdict(
+                CellFailure.from_exception(exc)))
+        finally:
             self.telemetry.histogram("fleet.agent.cell_seconds").observe(
                 time.monotonic() - started)
-            return wire.ResultReport(
-                agent_id=self.agent_id, session_id=grant.session_id,
-                cell_index=grant.cell_index, epoch=grant.epoch,
-                failure={
-                    "kind": "exception",
-                    "message": "%s: %s" % (type(exc).__name__, exc),
-                    "traceback": traceback.format_exc(),
-                    "exitcode": None,
-                })
-        self.telemetry.histogram("fleet.agent.cell_seconds").observe(
-            time.monotonic() - started)
         if store is not None:
             store.put(key, outcome)
-        return wire.ResultReport(
-            agent_id=self.agent_id, session_id=grant.session_id,
-            cell_index=grant.cell_index, epoch=grant.epoch,
-            outcome_blob=wire.pack(outcome))
+        return report(outcome_blob=wire.pack(outcome))

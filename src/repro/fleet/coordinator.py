@@ -48,8 +48,9 @@ from urllib.parse import parse_qs, urlparse
 
 import time
 
+from repro.errors import SchemaVersionError
 from repro.fleet import wire
-from repro.fleet.leases import CELL_DONE, CELL_FAILED, LeaseTable
+from repro.harness.leases import CELL_DONE, CELL_FAILED, LeaseTable
 from repro.telemetry import NULL_TELEMETRY
 
 __all__ = ["FleetConfig", "FleetCoordinator", "FleetServer", "serve"]
@@ -387,7 +388,11 @@ class _Handler(BaseHTTPRequestHandler):
         match = _EVENTS_PATH.match(path)
         if match:
             query = parse_qs(parsed.query)
-            after = int(query.get("after", ["-1"])[0])
+            try:
+                after = int(query.get("after", ["-1"])[0])
+            except ValueError as exc:
+                self._error(400, "bad event cursor: %s" % exc)
+                return
             events = self.coordinator.events(match.group(1), after=after)
             if events is None:
                 self._error(404, "no such session")
@@ -419,11 +424,15 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, "unknown endpoint %s" % self.path)
             return
         handler_name, expected = route
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length).decode("utf-8")
         try:
-            message = wire.decode(body, expected=expected)
-        except Exception as exc:  # wire/schema errors -> 400, not a 500
+            length = int(self.headers.get("Content-Length") or 0)
+            if length < 0:
+                raise ValueError("negative Content-Length %d" % length)
+            message = wire.decode(self.rfile.read(length).decode("utf-8"),
+                                  expected=expected)
+        except (ValueError, UnicodeDecodeError, wire.WireError,
+                SchemaVersionError) as exc:
+            self.close_connection = True  # the body may be left unread
             self._error(400, str(exc))
             return
         response = getattr(self.coordinator, handler_name)(message)

@@ -1,7 +1,13 @@
-"""The deterministic lease table: who runs which cell, provably once.
+"""The lease table: the one scheduling state machine behind every cell.
 
-One :class:`LeaseTable` owns the cells of one submitted campaign. The
-state machine per cell::
+One :class:`LeaseTable` owns one ordered list of cells, and both
+backends drive their cells through it: the local process pool
+(:mod:`repro.harness.pool`, which also carries the probe fan-out) holds
+one table per :func:`~repro.harness.pool.execute_tasks` call, the fleet
+coordinator (:mod:`repro.fleet.coordinator`) one per submitted campaign.
+A cell's ``spec_blob``, ``outcome_blob`` and ``failure`` hold whatever
+its owner stores: tasks, outcomes and ``CellFailure`` records in the
+pool, wire blobs and failure dicts in the coordinator. Per cell::
 
     PENDING --lease()--> LEASED --complete()--> DONE
        ^                   |  \\--fail()-------> PENDING (attempts+1)
@@ -21,8 +27,8 @@ Three rules make the table safe under dead agents and re-delivery:
   the expiry/steal path, which atomically revokes the old epoch first.
   At no point do two agents hold *valid* leases on one cell.
 - **Lease-style retries.** Deaths and expiries re-pend the cell without
-  charging its retry budget (matching the process pool's injected-death
-  policy); only a *reported* failure consumes an attempt.
+  charging its retry budget (an injected worker death is a
+  ``release``); only a *reported* failure consumes an attempt.
 
 Work-stealing: when nothing is PENDING, an idle agent may steal the
 oldest lease from the *slowest queue* — the agent holding the most
@@ -38,7 +44,7 @@ to kill agents at arbitrary points and replay the schedule exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 __all__ = [
     "CELL_DONE",
@@ -60,15 +66,15 @@ class Cell:
     """One campaign cell's lease record."""
 
     index: int
-    spec_blob: str
+    spec_blob: Any
     state: str = CELL_PENDING
     epoch: int = 0
     agent: str = ""
     leased_at: float = 0.0
     deadline: float = 0.0
     attempts: int = 0
-    outcome_blob: Optional[str] = None
-    failure: Optional[Dict[str, Any]] = None
+    outcome_blob: Any = None
+    failure: Any = None
     from_cache: bool = False
 
     @property
@@ -99,7 +105,8 @@ class LeaseTable:
     events: List[_Event] = field(default_factory=list)
 
     @classmethod
-    def for_blobs(cls, spec_blobs: List[str], **kwargs: Any) -> "LeaseTable":
+    def for_blobs(cls, spec_blobs: Sequence[Any],
+                  **kwargs: Any) -> "LeaseTable":
         return cls(cells=[Cell(index=i, spec_blob=blob)
                           for i, blob in enumerate(spec_blobs)], **kwargs)
 
@@ -215,7 +222,7 @@ class LeaseTable:
         return True
 
     def complete(self, agent: str, index: int, epoch: int,
-                 outcome_blob: str, now: float,
+                 outcome_blob: Any, now: float,
                  from_cache: bool = False) -> Tuple[bool, str]:
         """Fold one successful result in; returns ``(accepted, reason)``."""
         cell = self.cells[index]
@@ -236,7 +243,7 @@ class LeaseTable:
         return True, ""
 
     def fail(self, agent: str, index: int, epoch: int,
-             failure: Dict[str, Any], now: float) -> Tuple[bool, str]:
+             failure: Any, now: float) -> Tuple[bool, str]:
         """Record a reported failure; re-pend while budget remains."""
         cell = self.cells[index]
         if cell.state != CELL_LEASED or cell.epoch != epoch \
@@ -246,6 +253,6 @@ class LeaseTable:
             self._repend(cell, now)
         else:
             cell.state = CELL_FAILED
-            cell.failure = dict(failure)
+            cell.failure = failure
             self._record(cell, now)
         return True, ""

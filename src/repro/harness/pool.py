@@ -1,19 +1,20 @@
 """A generic bounded process pool with timeouts, retries and failure records.
 
-Extracted from the campaign executor so any picklable fan-out — campaign
-cells, relation-probe batches — shares one battle-tested scheduling core:
+Any picklable fan-out — campaign cells, relation-probe batches — runs
+through :func:`execute_tasks`:
 
 - :class:`Task` wraps one unit of work: a picklable ``payload`` handed to
   the runner, the ``index`` results are keyed by, optional caller
-  ``meta`` (e.g. a cache key) and an optional per-task ``timeout``
-  overriding the pool-wide budget.
-- :func:`execute_tasks` schedules tasks onto one worker process per
-  in-flight task, applies per-task deadlines, retries failed tasks in a
-  fresh worker and converts worker crashes into structured
-  :class:`CellFailure` records instead of a hung pool. Results come back
-  ordered like the input regardless of completion order.
-- ``workers=1`` short-circuits to an in-process loop with the identical
-  retry contract (and no timeout enforcement).
+  ``meta`` (e.g. a cache key) and an optional per-task ``timeout``.
+- Scheduling state lives in a :class:`~repro.harness.leases.LeaseTable`,
+  the fleet coordinator's state machine: a launch is a ``lease``, a
+  result ``complete``, an exception, dead worker or timeout ``fail``
+  (charging the retry budget), an injected worker death ``release``
+  (refunding it). :func:`settled_result` folds a settled cell into its
+  :class:`CellResult` on both backends.
+- The pool itself forks one worker per in-flight task, enforces
+  deadlines, runs the ``on_success`` hook and records telemetry;
+  ``workers=1`` drives the same table in-process (no timeouts).
 
 The campaign-specific layers — spec construction, outcome caching —
 stay in :mod:`repro.harness.executor`; the probe fan-out lives in
@@ -27,18 +28,17 @@ import os
 import pickle
 import time
 import traceback
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import CampaignInterrupted, HarnessError
-from repro.faultplane import FAULT_WORKER_DEATH
+from repro.faultplane import doom_worker
+from repro.harness.leases import CELL_PENDING, Cell, LeaseTable
 from repro.telemetry import NULL_TELEMETRY
 
-#: Cap on injected deaths per task, so an io-chaos level of 1.0 cannot
-#: doom every relaunch forever and livelock the pool.
-_MAX_INJECTED_DEATHS = 3
+#: The pool's name in its lease table: the parent holds every lease.
+_HOLDER = "pool"
 
 #: What ``Connection.send`` can raise inside a worker (mirrors the
 #: concrete-set treatment of ``UNPICKLE_ERRORS`` in :mod:`repro.cache`):
@@ -67,6 +67,13 @@ class CellFailure:
     def __str__(self) -> str:
         return "[%s] %s" % (self.kind, self.message)
 
+    @classmethod
+    def from_exception(cls, exc: BaseException) -> "CellFailure":
+        return cls(kind="exception",
+                   message="%s: %s" % (type(exc).__name__, exc),
+                   traceback="".join(traceback.format_exception(
+                       type(exc), exc, exc.__traceback__)))
+
 
 @dataclass
 class CellResult:
@@ -82,6 +89,19 @@ class CellResult:
     @property
     def ok(self) -> bool:
         return self.outcome is not None
+
+
+def settled_result(index: int, spec: Any, attempts: int, outcome: Any = None,
+                   failure: Any = None,
+                   from_cache: bool = False) -> CellResult:
+    """The one fold from a settled lease-table cell, local or fleet, to
+    its record; ``failure`` is a :class:`CellFailure` or, off the wire,
+    a dict of its fields."""
+    if isinstance(failure, dict):
+        failure = CellFailure(**failure)
+    return CellResult(index=index, spec=spec, outcome=outcome,
+                      failure=failure, from_cache=from_cache,
+                      attempts=attempts)
 
 
 def _describe_spec(spec: Any) -> str:
@@ -117,14 +137,12 @@ class Task:
             the process boundary.
         timeout: Per-task wall-clock budget overriding the pool default
             (batched tasks scale their deadline with batch size).
-        attempts: Internal retry counter.
     """
 
     index: int
     payload: Any
     meta: Any = None
     timeout: Optional[float] = None
-    attempts: int = field(default=0, repr=False)
 
 
 def _task_entry(runner: Callable, payload: Any, conn) -> None:
@@ -165,12 +183,10 @@ def _doomed_entry(conn) -> None:
 
 @dataclass
 class _Running:
-    task: Task
+    cell: Cell
     process: Any
-    conn: Any
     deadline: Optional[float]
     budget: Optional[float]
-    started: float = 0.0
     injected: bool = False
 
 
@@ -216,57 +232,74 @@ def execute_tasks(
         metric_prefix: Namespace for the pool's telemetry instruments.
         injector: Optional :class:`repro.faultplane.FaultInjector`; an
             enabled plan may doom a launched worker to die before
-            shipping its result. The pool's policy is lease-style:
-            an injected death is respawned and re-leased without
-            charging the retry budget or the pool metrics, so the
-            exported counters never see the fault plane's weather.
-            Ignored on the ``workers=1`` in-process path (there is no
-            worker to kill).
+            shipping its result. The death releases the lease: the cell
+            re-runs uncharged and unseen by the pool metrics. Ignored
+            on the ``workers=1`` path (there is no worker to kill).
 
     Returns:
         One :class:`CellResult` per task, ordered like ``tasks``
         regardless of completion order, each carrying the task's
         ``index``.
     """
-    tele = telemetry or NULL_TELEMETRY
-    slots: Dict[int, CellResult] = {}
-    pending: deque = deque(tasks)
-    for task in pending:
-        task.attempts = 0
-
+    schedule = _Schedule(tasks, retries, telemetry or NULL_TELEMETRY,
+                         metric_prefix, on_success)
     if workers <= 1:
-        for task in pending:
-            slots[id(task)] = _run_inline(task, runner, retries, on_success,
-                                          tele, metric_prefix)
+        _run_inline(schedule, runner)
     else:
-        _run_pool(pending, slots, workers, runner, retries, timeout,
-                  on_success, mp_context or default_context(), tele,
-                  metric_prefix, injector)
-    return [slots[id(task)] for task in tasks]
+        _run_pool(schedule, workers, runner, timeout,
+                  mp_context or default_context(), injector)
+    return [settled_result(task.index, task.payload, cell.attempts,
+                           cell.outcome_blob, cell.failure)
+            for task, cell in zip(schedule.tasks, schedule.table.cells)]
 
 
-def _finish_ok(task: Task, outcome: Any,
-               on_success: Optional[Callable]) -> CellResult:
-    if on_success is not None:
-        on_success(task, outcome)
-    return CellResult(
-        index=task.index, spec=task.payload, outcome=outcome,
-        attempts=task.attempts,
-    )
+class _Schedule:
+    """The pool's side of its lease table: the one lease holder, plus
+    the telemetry and success hook each transition carries."""
+
+    def __init__(self, tasks: Sequence[Task], retries: int, tele,
+                 metric_prefix: str, on_success: Optional[Callable]):
+        self.tasks = list(tasks)
+        self.table = LeaseTable.for_blobs(self.tasks, retries=retries)
+        self.tele = tele
+        self.prefix = metric_prefix
+        self.on_success = on_success
+
+    def _observe(self, cell: Cell) -> None:
+        self.tele.histogram(self.prefix + ".task_seconds").observe(
+            time.monotonic() - cell.leased_at)
+
+    def complete(self, cell: Cell, outcome: Any) -> None:
+        self._observe(cell)
+        if self.on_success is not None:
+            self.on_success(self.tasks[cell.index], outcome)
+        self.table.complete(_HOLDER, cell.index, cell.epoch, outcome,
+                            time.monotonic())
+
+    def fail(self, cell: Cell, failure: CellFailure,
+             injected: bool = False) -> None:
+        """A failed attempt, charged to the retry budget — unless the
+        fault plane injected it: that releases the lease, unseen by the
+        pool metrics, so exports match the fault-free run."""
+        if injected:
+            self.table.release(_HOLDER, cell.index, cell.epoch,
+                               time.monotonic())
+            return
+        self._observe(cell)
+        self.table.fail(_HOLDER, cell.index, cell.epoch, failure,
+                        time.monotonic())
+        if cell.state == CELL_PENDING:  # re-pended: a retry follows
+            self.tele.counter(self.prefix + ".retries").inc()
 
 
-def _run_inline(task: Task, runner: Callable, retries: int,
-                on_success: Optional[Callable], tele,
-                metric_prefix: str) -> CellResult:
-    """The ``workers=1`` path: same retry contract, no subprocesses."""
-    failure = None
-    while task.attempts <= retries:
-        if task.attempts:
-            tele.counter(metric_prefix + ".retries").inc()
-        task.attempts += 1
-        started = time.monotonic()
+def _run_inline(schedule: _Schedule, runner: Callable) -> None:
+    """The ``workers=1`` path: the same lease table, no subprocesses."""
+    while True:
+        cell = schedule.table.lease(_HOLDER, time.monotonic())
+        if cell is None:
+            return
         try:
-            outcome = runner(task.payload)
+            outcome = runner(schedule.tasks[cell.index].payload)
         except CampaignInterrupted:
             # An operator-initiated stop (SIGTERM/SIGINT with
             # checkpointing): retrying in-process would immediately
@@ -274,39 +307,19 @@ def _run_inline(task: Task, runner: Callable, retries: int,
             # the interrupt propagates to the caller instead.
             raise
         except Exception as exc:
-            tele.histogram(metric_prefix + ".task_seconds").observe(
-                time.monotonic() - started)
-            failure = CellFailure(
-                kind="exception",
-                message="%s: %s" % (type(exc).__name__, exc),
-                traceback=traceback.format_exc(),
-            )
+            schedule.fail(cell, CellFailure.from_exception(exc))
         else:
-            tele.histogram(metric_prefix + ".task_seconds").observe(
-                time.monotonic() - started)
-            return _finish_ok(task, outcome, on_success)
-    return CellResult(
-        index=task.index, spec=task.payload, failure=failure,
-        attempts=task.attempts,
-    )
+            schedule.complete(cell, outcome)
 
 
-def _run_pool(pending, slots, workers, runner, retries, timeout,
-              on_success, ctx, tele, metric_prefix, injector=None):
+def _run_pool(schedule: _Schedule, workers: int, runner: Callable,
+              timeout: Optional[float], ctx, injector) -> None:
     running: Dict[Any, _Running] = {}
-    doomed_counts: Dict[int, int] = {}
+    deaths: Dict[int, int] = {}
 
-    def launch(task: Task) -> None:
-        if task.attempts:
-            tele.counter(metric_prefix + ".retries").inc()
-        task.attempts += 1
-        doomed = False
-        if injector is not None and injector.enabled and \
-                doomed_counts.get(id(task), 0) < _MAX_INJECTED_DEATHS:
-            doomed = injector.fault_for(
-                "pool.worker", kinds=(FAULT_WORKER_DEATH,)) is not None
-            if doomed:
-                doomed_counts[id(task)] = doomed_counts.get(id(task), 0) + 1
+    def launch(cell: Cell) -> None:
+        task = schedule.tasks[cell.index]
+        doomed = doom_worker(injector, "pool.worker", cell.index, deaths)
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         process = ctx.Process(
             target=_doomed_entry if doomed else _task_entry,
@@ -316,38 +329,22 @@ def _run_pool(pending, slots, workers, runner, retries, timeout,
         )
         process.start()
         child_conn.close()
-        started = time.monotonic()
         budget = task.timeout if task.timeout is not None else timeout
-        deadline = (started + budget) if budget else None
+        deadline = (time.monotonic() + budget) if budget else None
         running[parent_conn] = _Running(
-            task=task, process=process, conn=parent_conn, deadline=deadline,
-            budget=budget, started=started, injected=doomed,
+            cell=cell, process=process, deadline=deadline, budget=budget,
+            injected=doomed,
         )
 
-    def settle(run: _Running, failure: CellFailure) -> None:
-        """Record a failure or requeue the task for a fresh worker."""
-        if run.injected:
-            # An injected worker death re-leases the cell to a fresh
-            # worker: the attempt is refunded and neither the retry
-            # counter nor the task_seconds histogram observes it, so
-            # exported metrics stay identical to the fault-free run.
-            run.task.attempts -= 1
-            pending.append(run.task)
-            return
-        tele.histogram(metric_prefix + ".task_seconds").observe(
-            time.monotonic() - run.started)
-        if run.task.attempts <= retries:
-            pending.append(run.task)
-        else:
-            slots[id(run.task)] = CellResult(
-                index=run.task.index, spec=run.task.payload,
-                failure=failure, attempts=run.task.attempts,
-            )
-
     try:
-        while pending or running:
-            while pending and len(running) < workers:
-                launch(pending.popleft())
+        while True:
+            while len(running) < workers:
+                cell = schedule.table.lease(_HOLDER, time.monotonic())
+                if cell is None:
+                    break
+                launch(cell)
+            if not running:
+                return
 
             wait_timeout = None
             deadlines = [r.deadline for r in running.values()
@@ -365,24 +362,21 @@ def _run_pool(pending, slots, workers, runner, retries, timeout,
                 conn.close()
                 run.process.join()
                 if message is None:
-                    settle(run, CellFailure(
+                    schedule.fail(run.cell, CellFailure(
                         kind="worker-died",
                         message="worker exited without a result (exitcode %s)"
                                 % run.process.exitcode,
                         exitcode=run.process.exitcode,
-                    ))
+                    ), run.injected)
                 elif message[0] == "ok":
-                    tele.histogram(metric_prefix + ".task_seconds").observe(
-                        time.monotonic() - run.started)
-                    slots[id(run.task)] = _finish_ok(
-                        run.task, message[1], on_success)
+                    schedule.complete(run.cell, message[1])
                 else:
                     _, name, text, trace = message
-                    settle(run, CellFailure(
+                    schedule.fail(run.cell, CellFailure(
                         kind="exception",
                         message="%s: %s" % (name, text),
                         traceback=trace,
-                    ))
+                    ), run.injected)
 
             now = time.monotonic()
             for conn in [c for c, r in running.items()
@@ -390,14 +384,14 @@ def _run_pool(pending, slots, workers, runner, retries, timeout,
                 run = running.pop(conn)
                 _terminate(run.process)
                 conn.close()
-                settle(run, CellFailure(
+                schedule.fail(run.cell, CellFailure(
                     kind="timeout",
                     message="task exceeded the %.1fs budget" % run.budget,
-                ))
+                ), run.injected)
     finally:
-        for run in running.values():
+        for conn, run in running.items():
             _terminate(run.process)
-            run.conn.close()
+            conn.close()
 
 
 def _terminate(process) -> None:

@@ -6,6 +6,9 @@ threads — with a cheap in-process runner so the suite stays fast.
 """
 
 import dataclasses
+import http.client
+import json
+import socket
 import threading
 import time
 
@@ -92,6 +95,23 @@ class TestLiveness:
         with pytest.raises(CoordinatorUnavailable, match="400"):
             client._request("POST", "/v1/campaigns",
                             body=wire.encode(wire.HeartbeatRequest("a")))
+
+    @pytest.mark.parametrize("raw", [
+        b"POST /v1/campaigns HTTP/1.1\r\nContent-Length: 2\r\n\r\n\xff\xfe",
+        b"POST /v1/campaigns HTTP/1.1\r\nContent-Length: two\r\n\r\n{}",
+        b"GET /v1/campaigns/s-0001/events?after=x HTTP/1.1\r\n\r\n",
+    ], ids=["non-utf8-body", "non-integer-length", "non-integer-cursor"])
+    def test_bad_request_bytes_get_a_json_400(self, fleet, raw):
+        """Raw bytes no client would send: each gets a JSON 400 rather
+        than a dropped connection, and the server keeps serving."""
+        server, client = fleet
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            sock.sendall(raw)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 400
+            assert "error" in json.loads(response.read())
+        assert client.ping()
 
     def test_stop_returns_promptly(self):
         server = serve().start()

@@ -6,7 +6,7 @@ zombie report, double-lease attempts, heartbeat jitter, stealing from
 the slowest queue.
 """
 
-from repro.fleet.leases import (
+from repro.harness.leases import (
     CELL_DONE,
     CELL_FAILED,
     CELL_LEASED,

@@ -1,12 +1,14 @@
 """Worker fault tolerance: raises, timeouts and dead workers become
 structured failure records; the rest of the grid still completes; a
-bounded retry in a fresh worker recovers transient failures."""
+bounded retry in a fresh worker recovers transient failures. The retry
+contract runs on both executor backends, which share one lease table."""
 
 import os
 import time
 
 import pytest
 
+from repro.faultplane import FaultInjector, FaultPlan
 from repro.harness.campaign import CampaignConfig
 from repro.harness.executor import (
     CampaignOutcome,
@@ -15,6 +17,7 @@ from repro.harness.executor import (
     execute_specs,
     outcomes,
 )
+from repro.telemetry import Telemetry, TelemetryConfig
 
 
 def _spec(**mode_kwargs):
@@ -66,12 +69,30 @@ def _flaky_runner(spec):
     return _outcome(spec)
 
 
-@pytest.mark.parametrize("workers", (1, 2))
+def _mixed_runner(spec):
+    if "marker" in spec.mode_kwargs:
+        return _flaky_runner(spec)
+    return _explosive_runner(spec)
+
+
+def _record(cells):
+    return [(cell.attempts, cell.failure and (cell.failure.kind,
+                                              cell.failure.message))
+            for cell in cells]
+
+
+# The local legs keep their historical ids ("1", "2").
+@pytest.mark.parametrize("workers,backend", [
+    pytest.param(1, "local", id="1"),
+    pytest.param(2, "local", id="2"),
+    pytest.param(1, "fleet", id="fleet-1"),
+    pytest.param(2, "fleet", id="fleet-2"),
+])
 class TestExceptionHandling:
-    def test_failure_record_and_surviving_cells(self, workers):
+    def test_failure_record_and_surviving_cells(self, workers, backend):
         specs = [_spec(), _spec(explode=True), _spec(), _spec()]
         cells = execute_specs(specs, workers=workers, runner=_explosive_runner,
-                              retries=0)
+                              retries=0, backend=backend)
         assert [cell.index for cell in cells] == [0, 1, 2, 3]
         failed = cells[1]
         assert not failed.ok
@@ -81,29 +102,61 @@ class TestExceptionHandling:
         assert failed.attempts == 1
         assert all(cell.ok for cell in cells if cell.index != 1)
 
-    def test_outcomes_raises_with_failed_cells_attached(self, workers):
+    def test_outcomes_raises_with_failed_cells_attached(self, workers,
+                                                         backend):
         cells = execute_specs([_spec(explode=True)], workers=workers,
-                              runner=_explosive_runner, retries=0)
+                              runner=_explosive_runner, retries=0,
+                              backend=backend)
         with pytest.raises(ExecutorError) as excinfo:
             outcomes(cells)
         assert excinfo.value.failed[0].failure.kind == "exception"
         assert "dnsmasq" in str(excinfo.value)
 
-    def test_retry_is_bounded(self, workers):
+    def test_retry_is_bounded(self, workers, backend):
         cells = execute_specs([_spec(explode=True)], workers=workers,
-                              runner=_explosive_runner, retries=2)
+                              runner=_explosive_runner, retries=2,
+                              backend=backend)
         assert not cells[0].ok
         assert cells[0].attempts == 3
 
-    def test_retry_recovers_transient_failure(self, workers, tmp_path):
+    def test_retry_recovers_transient_failure(self, workers, backend,
+                                              tmp_path):
         specs = [
             _spec(marker=str(tmp_path / "cell-a")),
             _spec(marker=str(tmp_path / "cell-b")),
         ]
         cells = execute_specs(specs, workers=workers, runner=_flaky_runner,
-                              retries=1)
+                              retries=1, backend=backend)
         assert all(cell.ok for cell in cells)
         assert all(cell.attempts == 2 for cell in cells)
+
+    def test_injected_worker_deaths_are_refunded(self, workers, backend,
+                                                 tmp_path):
+        """Doomed workers re-run their cell uncharged: every cell's
+        attempts and failure record, and the retry counter, match the
+        fault-free run, and both backends produce the same records."""
+        def grid(tag, telemetry, injector=None):
+            specs = [_spec(), _spec(explode=True),
+                     _spec(marker=str(tmp_path / tag))]
+            return execute_specs(specs, workers=workers,
+                                 runner=_mixed_runner, retries=1,
+                                 backend=backend, telemetry=telemetry,
+                                 io_injector=injector)
+
+        expected = [(1, None),
+                    (2, ("exception", "RuntimeError: injected failure")),
+                    (2, None)]
+        clean_tele, stormy_tele = (
+            Telemetry.from_config(TelemetryConfig(enabled=True))
+            for _ in range(2))
+        assert _record(grid("clean", clean_tele)) == expected
+        injector = FaultInjector(plan=FaultPlan(seed=1, level=0.5))
+        assert _record(grid("stormy", stormy_tele, injector)) == expected
+        assert stormy_tele.registry.counter_total("executor.retries") == \
+            clean_tele.registry.counter_total("executor.retries")
+        if backend == "fleet" or workers > 1:  # in-process: nothing to kill
+            site = "fleet.agent" if backend == "fleet" else "pool.worker"
+            assert injector.injected[site]["worker-death"] > 0
 
 
 class TestWorkerDeath:

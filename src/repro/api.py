@@ -134,11 +134,11 @@ def quantify_relations(
             without it).
     """
     cfg = config or ModelBuildConfig()
-    target_cls, name = _resolve_target(target)
+    target_cls, _ = _resolve_target(target)
     if model is None:
         model = extract_model(target_cls)
     executor = build_probe_executor(
-        name, workers=cfg.workers, cache=cfg.cache, cache_dir=cfg.cache_dir,
+        target_cls, workers=cfg.workers, cache=cfg.cache, cache_dir=cfg.cache_dir,
         timeout=cfg.probe_timeout, retries=cfg.retries, telemetry=telemetry,
     )
     quantifier = RelationQuantifier(

@@ -1,4 +1,4 @@
-"""Startup-probe execution: serial, pooled, and content-addressed-cached.
+"""Startup-probe execution: serial, pooled, cached on disk and memoised.
 
 Phase 1 of the model-build pipeline (relation quantification, §III-B1)
 is dominated by startup probes: every pair of mutable entities launches
@@ -6,25 +6,28 @@ the target across its value combinations. This module turns those
 launches into a first-class, schedulable workload:
 
 - :class:`ProbeBatch` is the picklable description of a chunk of probes
-  (target registry name + assignments); :func:`run_probe_batch` is the
-  worker body that reconstructs the target and runs them.
+  (target class + assignments); :func:`run_probe_batch` runs them.
 - :class:`LocalProbeExecutor` runs probes in-process against any
   :data:`~repro.core.relation.StartupProbe` callable.
 - :class:`PooledProbeExecutor` fans chunks out across the generic
   process pool (:mod:`repro.harness.pool`), reusing its per-task
   timeout / bounded-retry / :class:`~repro.harness.pool.CellFailure`
   machinery.
-- :class:`ProbeCache` memoises probe outcomes on disk under
-  ``.cmfuzz-cache/probes/``, keyed by a sha256 of the target id and the
-  sorted configuration values, with its own :data:`PROBE_CACHE_VERSION`;
-  :class:`CachedProbeExecutor` layers it over either executor.
+- :class:`ProbeCache` stores outcomes on disk under
+  ``.cmfuzz-cache/probes/``, keyed by a sha256 of the target class id
+  and the sorted values, versioned by :data:`PROBE_CACHE_VERSION`.
+- :class:`ProbeMemo` keeps a class's outcomes for the process's life
+  (:func:`probe_memo`): an outcome depends only on the class and the
+  values, so every campaign model build in the process shares them.
+- :class:`CachedProbeExecutor` layers either store over any executor;
+  a campaign stacks memo → disk cache → local or pooled executor.
 
 All executors share one contract: ``run(assignments)`` returns one
 :class:`ProbeOutcome` per assignment, in order, and maintains a
 ``stats`` dict (``executed`` / ``cache_hits``) the quantifier folds into
 telemetry. Sanitizer faults raised during startup are carried *inside*
-the outcome (as picklable tuples) so they survive both the process
-boundary and the cache, and replay identically on warm rebuilds.
+the outcome (as picklable tuples) so they survive the process boundary,
+the cache and the memo, and replay identically on warm rebuilds.
 """
 
 from __future__ import annotations
@@ -33,7 +36,10 @@ import hashlib
 import json
 import math
 import os
+import sys
+import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -47,7 +53,9 @@ from repro.errors import StartupError
 
 #: Bumped whenever the probe outcome layout or key derivation changes;
 #: stale entries from older versions are treated as misses.
-PROBE_CACHE_VERSION = 1
+#: 2: the target id is the probed class's ``module.qualname``, not its
+#: registry name.
+PROBE_CACHE_VERSION = 2
 
 #: Subdirectory of the cache root holding probe outcomes.
 PROBE_CACHE_SUBDIR = "probes"
@@ -95,6 +103,15 @@ def assignment_items(assignment: Dict[str, Any]) -> Tuple[Tuple[str, Any], ...]:
     return tuple(sorted(assignment.items(), key=lambda kv: kv[0]))
 
 
+def target_class(target):
+    """The target class itself, resolving a registry name if given one."""
+    if isinstance(target, str):
+        from repro.targets.registry import get_target
+
+        return get_target(target).target_cls
+    return target
+
+
 def probe_key(target_id: str, assignment: Dict[str, Any]) -> str:
     """Content address of one probe: sha256 of target id + sorted values."""
     payload = {
@@ -115,18 +132,18 @@ def probe_key(target_id: str, assignment: Dict[str, Any]) -> str:
 
 @dataclass(frozen=True)
 class ProbeBatch:
-    """A picklable chunk of startup probes against one registry target.
+    """A picklable chunk of startup probes against one target class.
 
     Attributes:
-        target: Target registry name (e.g. ``"dnsmasq"``); the worker
-            reconstructs the class via :func:`repro.targets.get_target`.
+        target: The target class, or its registry name (e.g.
+            ``"dnsmasq"``) for :func:`repro.targets.get_target`.
         assignments: One canonical item-tuple per probe.
         startup_latency: Simulated per-probe startup cost in seconds —
             models the process-spawn latency of probing a real SUT
             (benchmarks use it; production paths leave it at 0).
     """
 
-    target: str
+    target: Any
     assignments: Tuple[Tuple[Tuple[str, Any], ...], ...]
     startup_latency: float = 0.0
 
@@ -158,19 +175,20 @@ def probe_one(probe: Callable[[Dict[str, Any]], Any],
     return ProbeOutcome(sites=sites)
 
 
-def run_probe_batch(batch: ProbeBatch) -> List[ProbeOutcome]:
-    """Worker body: rebuild the target's probe and run one chunk."""
+def _collecting_probe(target_cls):
+    """A startup probe whose faults collect into a list for outcomes."""
     from repro.targets.base import startup_probe_for
-    from repro.targets.registry import get_target
 
     fault_log: List = []
-    probe = startup_probe_for(get_target(batch.target).target_cls,
-                              on_fault=fault_log.append)
-    return [
-        probe_one(probe, dict(items), fault_log,
-                  startup_latency=batch.startup_latency)
-        for items in batch.assignments
-    ]
+    return startup_probe_for(target_cls, on_fault=fault_log.append), fault_log
+
+
+def run_probe_batch(batch: ProbeBatch) -> List[ProbeOutcome]:
+    """Worker body: build the target's probe and run one chunk."""
+    return LocalProbeExecutor(
+        *_collecting_probe(target_class(batch.target)),
+        startup_latency=batch.startup_latency,
+    ).run([dict(items) for items in batch.assignments])
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +237,14 @@ class PooledProbeExecutor:
     :class:`CellFailure` string.
 
     Args:
-        target: Target registry name.
+        target: Target class or registry name.
         workers: Worker processes (chunks in flight).
         timeout: Per-probe wall-clock budget in seconds.
         retries: Failed-chunk retries in a fresh worker.
-        chunks: Number of chunks to split the assignment list into
-            (default: ``workers``, one even share per worker).
     """
 
-    def __init__(self, target: str, workers: int = 2,
+    def __init__(self, target, workers: int = 2,
                  timeout: Optional[float] = None, retries: int = 1,
-                 chunks: Optional[int] = None, mp_context=None,
                  telemetry=None, startup_latency: float = 0.0,
                  injector=None):
         if workers < 1:
@@ -238,8 +253,6 @@ class PooledProbeExecutor:
         self.workers = workers
         self.timeout = timeout
         self.retries = retries
-        self.chunks = chunks
-        self.mp_context = mp_context
         self.telemetry = telemetry
         self.startup_latency = startup_latency
         self.injector = injector
@@ -251,7 +264,7 @@ class PooledProbeExecutor:
         if not assignments:
             return []
         items = [assignment_items(a) for a in assignments]
-        n_chunks = max(1, min(self.chunks or self.workers, len(items)))
+        n_chunks = max(1, min(self.workers, len(items)))
         per_chunk = int(math.ceil(len(items) / n_chunks))
         tasks = []
         for index, start in enumerate(range(0, len(items), per_chunk)):
@@ -265,9 +278,8 @@ class PooledProbeExecutor:
             ))
         results = execute_tasks(
             tasks, run_probe_batch, workers=self.workers,
-            retries=self.retries, mp_context=self.mp_context,
-            telemetry=self.telemetry, metric_prefix="modelbuild.pool",
-            injector=self.injector,
+            retries=self.retries, telemetry=self.telemetry,
+            metric_prefix="modelbuild.pool", injector=self.injector,
         )
         outcomes: List[ProbeOutcome] = []
         for result in results:
@@ -294,6 +306,8 @@ class ProbeCache:
     persistent failure degrades to in-memory, corrupt entries are
     quarantined instead of silently counting as misses.
     """
+
+    key = staticmethod(probe_key)
 
     def __init__(self, root: Optional[str] = None, telemetry=None,
                  injector=None):
@@ -322,16 +336,62 @@ class ProbeCache:
         )
 
 
-class CachedProbeExecutor:
-    """Layers a :class:`ProbeCache` over another executor.
+#: Guards every :class:`ProbeMemo` and the class → memo table: fleet
+#: agents are threads, and two of them may build one target at once.
+_MEMO_LOCK = threading.Lock()
+_MEMOS = weakref.WeakKeyDictionary()  # target class -> ProbeMemo
 
-    Hits come straight from disk; misses go to the inner executor and
-    are stored. ``stats`` aggregates its own hits with the inner
-    executor's execution counts.
+
+class ProbeMemo:
+    """One target class's outcomes by :func:`assignment_items`.
+
+    Each is stored with a canonical site set (interned strings, one
+    frozenset per distinct set): a target's thousands of probes cover a
+    few hundred sets. Of equal outcomes raced in, the first stays.
     """
 
-    def __init__(self, inner, target_id: str,
-                 cache: Optional[ProbeCache] = None):
+    def __init__(self):
+        self.outcomes: Dict[Tuple[Tuple[str, Any], ...], ProbeOutcome] = {}
+        self._site_sets: Dict[frozenset, frozenset] = {}
+
+    @staticmethod
+    def key(target_id, assignment: Dict[str, Any]):
+        return assignment_items(assignment)
+
+    def get(self, key) -> Optional[ProbeOutcome]:
+        with _MEMO_LOCK:
+            return self.outcomes.get(key)
+
+    def put(self, key, outcome: ProbeOutcome) -> None:
+        with _MEMO_LOCK:
+            sites = self._site_sets.get(outcome.sites)
+            if sites is None:
+                sites = frozenset(map(sys.intern, outcome.sites))
+                self._site_sets[sites] = sites
+            self.outcomes.setdefault(key, ProbeOutcome(
+                sites=sites, failed=outcome.failed, faults=outcome.faults))
+
+
+def probe_memo(target_cls) -> ProbeMemo:
+    """This process's memo for ``target_cls``; dies with the class."""
+    with _MEMO_LOCK:
+        memo = _MEMOS.get(target_cls)
+        if memo is None:
+            memo = _MEMOS[target_cls] = ProbeMemo()
+        return memo
+
+
+class CachedProbeExecutor:
+    """Layers an outcome store over another executor.
+
+    The store is a :class:`ProbeCache` or a :class:`ProbeMemo`; it
+    derives each probe's key from ``target_id`` and the assignment.
+    Hits come straight from the store; misses go to the inner executor
+    and are stored. ``stats`` aggregates its own hits with the inner
+    executor's counts.
+    """
+
+    def __init__(self, inner, target_id, cache=None):
         self.inner = inner
         self.target_id = target_id
         self.cache = cache or ProbeCache()
@@ -344,7 +404,7 @@ class CachedProbeExecutor:
         return merged
 
     def run(self, assignments: Sequence[Dict[str, Any]]) -> List[ProbeOutcome]:
-        keys = [probe_key(self.target_id, a) for a in assignments]
+        keys = [self.cache.key(self.target_id, a) for a in assignments]
         outcomes: List[Optional[ProbeOutcome]] = [
             self.cache.get(key) for key in keys
         ]
@@ -359,14 +419,12 @@ class CachedProbeExecutor:
 
 
 def build_probe_executor(
-    target_id: str,
-    probe: Optional[Callable[[Dict[str, Any]], Any]] = None,
+    target,
     workers: int = 1,
     cache: bool = False,
     cache_dir: Optional[str] = None,
     timeout: Optional[float] = None,
     retries: int = 1,
-    mp_context=None,
     telemetry=None,
     startup_latency: float = 0.0,
     injector=None,
@@ -377,12 +435,12 @@ def build_probe_executor(
     probe cache, and degrades gracefully: inside a daemonic pool worker
     (a campaign cell already running under :func:`execute_specs`) child
     processes are forbidden, so the pooled path silently falls back to
-    serial rather than crashing the campaign.
+    serial rather than crashing the campaign. Campaigns layer the
+    per-process :class:`ProbeMemo` on top (:mod:`repro.parallel.cmfuzz`).
 
     Args:
-        target_id: Target registry name; also the cache-key namespace.
-        probe: Probe callable for the serial path; when omitted it is
-            built from the registry (faults collected into outcomes).
+        target: The target class, or its registry name. The class itself
+            travels to pool workers and names the cache entries.
         workers: Probe worker processes; ``1`` stays in-process.
         cache: Enable the on-disk probe cache.
         cache_dir: Cache root override (default ``.cmfuzz-cache/``).
@@ -396,27 +454,19 @@ def build_probe_executor(
     """
     from repro.harness.pool import in_daemon_worker
 
+    target_cls = target_class(target)
     if workers > 1 and not in_daemon_worker():
         executor = PooledProbeExecutor(
-            target_id, workers=workers, timeout=timeout, retries=retries,
-            mp_context=mp_context, telemetry=telemetry,
-            startup_latency=startup_latency, injector=injector,
+            target_cls, workers=workers, timeout=timeout, retries=retries,
+            telemetry=telemetry, startup_latency=startup_latency,
+            injector=injector,
         )
     else:
-        if probe is None:
-            from repro.targets.base import startup_probe_for
-            from repro.targets.registry import get_target
-
-            fault_log: List = []
-            probe = startup_probe_for(get_target(target_id).target_cls,
-                                      on_fault=fault_log.append)
-        else:
-            fault_log = getattr(probe, "fault_log", None)
-        executor = LocalProbeExecutor(probe, fault_log=fault_log,
+        executor = LocalProbeExecutor(*_collecting_probe(target_cls),
                                       startup_latency=startup_latency)
     if cache:
         executor = CachedProbeExecutor(
-            executor, target_id,
+            executor, "%s.%s" % (target_cls.__module__, target_cls.__qualname__),
             cache=ProbeCache(cache_dir, telemetry=telemetry,
                              injector=injector))
     return executor

@@ -8,19 +8,23 @@ combinations becomes the pair's raw weight; pairs whose every combination
 yields zero coverage (e.g. conflicting settings that abort startup) get no
 edge. Raw weights are normalised to [0, 1].
 
-Quantification runs in three phases so the probe workload can be fanned
-out and cached without perturbing results:
+Every quantification — a whole model, an incremental rebuild or a
+single :meth:`RelationQuantifier.pair_weight` — runs one path in three
+phases, so the probe workload can be fanned out, cached and memoised
+without perturbing results:
 
 1. **Plan** — enumerate every pair's value combinations in the canonical
    order and dedupe identical assignments (first-seen order), then derive
    the baseline/single probes the synergy computation will demand.
 2. **Execute** — run the unique assignments through a probe executor
-   (:mod:`repro.core.probes`): serial, pooled across worker processes, or
-   backed by the content-addressed on-disk cache.
+   (:mod:`repro.core.probes`): in-process, pooled across worker
+   processes, or behind the on-disk cache and the per-process memo. A
+   quantifier built from a bare probe wraps it in a
+   :class:`~repro.core.probes.LocalProbeExecutor`.
 3. **Replay** — re-walk the exact sequential control flow, sourcing every
    logical probe from the executed outcomes. The report's probe sequence,
-   launch counts, best values and raw weights are bit-identical whether
-   the probes ran serially, across N workers, or entirely from cache.
+   launch counts, best values and raw weights are bit-identical however
+   the probes ran or wherever their outcomes came from.
 
 :meth:`RelationQuantifier.requantify` builds on the same machinery for
 incremental rebuilds: pairs whose entities are unchanged (by fingerprint)
@@ -38,12 +42,12 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 from repro.core.entity import ConfigEntity
 from repro.core.model import ConfigurationModel, RelationAwareModel, normalize_weights
 from repro.core.probes import (
+    LocalProbeExecutor,
     ProbeOutcome,
     assignment_items,
     deserialize_fault,
 )
 from repro.coverage.bitmap import CoverageMap
-from repro.errors import StartupError
 from repro.telemetry import NULL_TELEMETRY
 
 #: A startup probe: maps a partial configuration assignment to the branch
@@ -155,8 +159,10 @@ class RelationQuantifier:
     """Builds a relation-aware model from a configuration model and a probe.
 
     Args:
-        probe: The startup probe (see :data:`StartupProbe`). Used directly
-            by the serial path; ignored when ``executor`` is given.
+        probe: The startup probe (see :data:`StartupProbe`), run through
+            a :class:`~repro.core.probes.LocalProbeExecutor`; ignored
+            when ``executor`` is given. Its own fault callbacks fire
+            as it executes.
         max_combinations: Safety cap on value combinations tried per pair;
             values beyond the cap are skipped deterministically (the
             cartesian product is truncated, preserving early values which
@@ -174,19 +180,17 @@ class RelationQuantifier:
             coverage) contribute nothing, so conflict-only pairs keep no
             edge, as in the paper.
         executor: Optional probe executor from :mod:`repro.core.probes`
-            (local, pooled or cached). When set, quantification runs as
-            plan → execute → replay with results bit-identical to the
-            serial path. The executor's probe must collect sanitizer
-            faults into its outcomes (see
-            :func:`repro.core.probes.build_probe_executor`) rather than
-            firing callbacks during execution, so replay controls fault
-            delivery.
+            (local, pooled, cached or memoised), with results
+            bit-identical to running ``probe`` in-process. The
+            executor's probe must collect sanitizer faults into its
+            outcomes (see :func:`repro.core.probes.build_probe_executor`)
+            rather than firing callbacks during execution, so replay
+            controls fault delivery.
         on_fault: Callback invoked with each rebuilt
             :class:`~repro.targets.faults.SanitizerFault` during replay,
             once per logical probe occurrence — keeping bug ledgers
             identical whether outcomes were freshly executed or served
-            from the cache. Serial-path probes fire their own callbacks,
-            so this only applies with ``executor``.
+            from the cache or the memo.
         telemetry: Optional :class:`repro.telemetry.Telemetry`; records
             ``modelbuild.*`` counters and per-phase spans.
     """
@@ -205,51 +209,25 @@ class RelationQuantifier:
             raise ValueError("aggregate must be 'max' or 'mean', got %r" % aggregate)
         if probe is None and executor is None:
             raise ValueError("need a startup probe or a probe executor")
-        self.probe = probe
         self.max_combinations = max_combinations
         self.aggregate = aggregate
         self.synergy = synergy
-        self.executor = executor
+        self.executor = (executor if executor is not None
+                         else LocalProbeExecutor(probe))
         self.on_fault = on_fault
         self.telemetry = telemetry or NULL_TELEMETRY
-        self._baseline: Optional[frozenset] = None
-        self._single_cache: Dict[Tuple[str, Any], frozenset] = {}
+        #: Sites of the baseline (``()``) and single-value probes the
+        #: synergy excess subtracts, replayed once per quantifier.
+        self._supports: Dict[Tuple[Tuple[str, Any], ...], frozenset] = {}
         #: Workload accounting for the most recent quantify/requantify
         #: call: logical probes, physical executions, cache hits, probes
         #: skipped by dedupe, and pairs carried without re-probing.
         self.last_run_stats: Dict[str, int] = {}
 
-    # -- serial probing ----------------------------------------------------
-
     def probe_assignment(self, assignment: Dict[str, Any]) -> ProbeRecord:
         """Launch the target once with ``assignment``; failures yield 0."""
-        try:
-            coverage = self.probe(dict(assignment))
-        except StartupError:
-            return ProbeRecord(dict(assignment), 0, failed=True)
-        if isinstance(coverage, CoverageMap):
-            sites = coverage.sites()
-        else:
-            sites = frozenset(coverage)
-        return ProbeRecord(dict(assignment), len(sites), sites=sites)
-
-    def _baseline_sites(self, report: Optional[QuantificationReport]) -> frozenset:
-        if self._baseline is None:
-            record = self.probe_assignment({})
-            if report is not None:
-                report.note_probe(record)
-            self._baseline = record.sites
-        return self._baseline
-
-    def _single_sites(self, name: str, value: Any,
-                      report: Optional[QuantificationReport]) -> frozenset:
-        key = (name, value)
-        if key not in self._single_cache:
-            record = self.probe_assignment({name: value})
-            if report is not None:
-                report.note_probe(record)
-            self._single_cache[key] = record.sites
-        return self._single_cache[key]
+        (outcome,) = self.executor.run([dict(assignment)])
+        return self._replay_record(assignment, outcome)
 
     def _pair_combinations(
         self, entity_a: ConfigEntity, entity_b: ConfigEntity
@@ -270,6 +248,14 @@ class RelationQuantifier:
             assignment[entity_b.name] = value_b
         return assignment
 
+    @staticmethod
+    def _support_keys(entity_a: ConfigEntity, entity_b: ConfigEntity,
+                      value_a: Any, value_b: Any) -> List[Tuple[Tuple[str, Any], ...]]:
+        """The baseline, then each value alone: what synergy subtracts."""
+        return [()] + [((name, value),) for name, value in (
+            (entity_a.name, value_a), (entity_b.name, value_b))
+            if value is not None]
+
     def _aggregate(self, observed: List[float]) -> float:
         if not observed:
             return 0.0
@@ -286,27 +272,9 @@ class RelationQuantifier:
         and aggregates the per-combination startup coverage (interaction
         excess when ``synergy`` is enabled).
         """
-        observed: List[float] = []
-        for value_a, value_b in self._pair_combinations(entity_a, entity_b):
-            assignment = self._combo_assignment(entity_a, entity_b, value_a, value_b)
-            record = self.probe_assignment(assignment)
-            if report is not None:
-                report.note_probe(record)
-            if record.failed or record.branches == 0:
-                # Conflict: contributes nothing toward a relation.
-                observed.append(0.0)
-                continue
-            if not self.synergy:
-                observed.append(float(record.branches))
-                continue
-            baseline = self._baseline_sites(report)
-            alone_a = (self._single_sites(entity_a.name, value_a, report)
-                       if value_a is not None else baseline)
-            alone_b = (self._single_sites(entity_b.name, value_b, report)
-                       if value_b is not None else baseline)
-            unlocked = record.sites - alone_a - alone_b - baseline
-            observed.append(float(len(unlocked)))
-        return self._aggregate(observed)
+        raw = self._quantify_pairs([(entity_a, entity_b)],
+                                   report or QuantificationReport())
+        return raw.get((entity_a.name, entity_b.name), 0.0)
 
     # -- plan / execute / replay -------------------------------------------
 
@@ -335,14 +303,7 @@ class RelationQuantifier:
         this quantifier or covered by stage A — are executed.
         """
         needed: Dict[Tuple[Tuple[str, Any], ...], None] = {}
-        have_baseline = self._baseline is not None
-        have_singles: Set[Tuple[str, Any]] = set(self._single_cache)
-
-        def require(assignment: Dict[str, Any]) -> None:
-            key = assignment_items(assignment)
-            if key not in outcomes:
-                needed.setdefault(key)
-
+        have = set(self._supports)
         for entity_a, entity_b in pairs:
             for value_a, value_b in self._pair_combinations(entity_a, entity_b):
                 assignment = self._combo_assignment(
@@ -350,42 +311,33 @@ class RelationQuantifier:
                 outcome = outcomes[assignment_items(assignment)]
                 if outcome.failed or outcome.branches == 0 or not self.synergy:
                     continue
-                if not have_baseline:
-                    require({})
-                    have_baseline = True
-                for name, value in ((entity_a.name, value_a),
-                                    (entity_b.name, value_b)):
-                    if value is not None and (name, value) not in have_singles:
-                        require({name: value})
-                        have_singles.add((name, value))
+                for key in self._support_keys(
+                        entity_a, entity_b, value_a, value_b):
+                    if key not in have:
+                        have.add(key)
+                        if key not in outcomes:
+                            needed.setdefault(key)
         return list(needed)
 
     def _replay_record(self, assignment: Dict[str, Any],
                        outcome: ProbeOutcome,
-                       report: QuantificationReport) -> ProbeRecord:
+                       report: Optional[QuantificationReport] = None,
+                       ) -> ProbeRecord:
         """Note one logical probe from an executed outcome, firing faults."""
         record = ProbeRecord(dict(assignment), outcome.branches,
                              failed=outcome.failed, sites=outcome.sites)
-        report.note_probe(record)
+        if report is not None:
+            report.note_probe(record)
         if self.on_fault is not None:
             for entry in outcome.faults:
                 self.on_fault(deserialize_fault(entry))
         return record
 
-    def _replay_baseline(self, outcomes, report) -> frozenset:
-        if self._baseline is None:
-            record = self._replay_record({}, outcomes[()], report)
-            self._baseline = record.sites
-        return self._baseline
-
-    def _replay_single(self, name: str, value: Any, outcomes, report) -> frozenset:
-        key = (name, value)
-        if key not in self._single_cache:
-            assignment = {name: value}
-            record = self._replay_record(
-                assignment, outcomes[assignment_items(assignment)], report)
-            self._single_cache[key] = record.sites
-        return self._single_cache[key]
+    def _replay_support(self, key, outcomes, report) -> frozenset:
+        if key not in self._supports:
+            self._supports[key] = self._replay_record(
+                dict(key), outcomes[key], report).sites
+        return self._supports[key]
 
     def _replay_pair(
         self,
@@ -407,12 +359,11 @@ class RelationQuantifier:
             if not self.synergy:
                 observed.append(float(record.branches))
                 continue
-            baseline = self._replay_baseline(outcomes, report)
-            alone_a = (self._replay_single(entity_a.name, value_a, outcomes, report)
-                       if value_a is not None else baseline)
-            alone_b = (self._replay_single(entity_b.name, value_b, outcomes, report)
-                       if value_b is not None else baseline)
-            unlocked = record.sites - alone_a - alone_b - baseline
+            unlocked = record.sites
+            for key in self._support_keys(entity_a, entity_b,
+                                          value_a, value_b):
+                unlocked = unlocked - self._replay_support(
+                    key, outcomes, report)
             observed.append(float(len(unlocked)))
         return self._aggregate(observed)
 
@@ -423,22 +374,11 @@ class RelationQuantifier:
     ) -> Dict[Tuple[str, str], float]:
         """Probe ``pairs`` and return their raw weights.
 
-        Serial path (no executor): probes launch inline, in sequence.
-        Executor path: plan → execute → replay, producing a bit-identical
-        report regardless of worker count or cache warmth.
+        Plan → execute → replay: the report is bit-identical regardless
+        of worker count, cache or memo warmth.
         """
         raw: Dict[Tuple[str, str], float] = {}
         logical_before = len(report.probes)
-        if self.executor is None:
-            for entity_a, entity_b in pairs:
-                weight = self.pair_weight(entity_a, entity_b, report)
-                if weight > 0:
-                    raw[(entity_a.name, entity_b.name)] = weight
-            self._note_stats(len(report.probes) - logical_before,
-                             executed=len(report.probes) - logical_before,
-                             cache_hits=0)
-            return raw
-
         stats_before = dict(self.executor.stats)
         with self.telemetry.span("modelbuild.plan"):
             combo_keys = self._plan_unique(pairs)
@@ -599,8 +539,9 @@ class RelationQuantifier:
 
         # Changed entities invalidate any cached single-value coverage the
         # quantifier carried for their old values.
-        for key in [k for k in self._single_cache if k[0] in changed_set]:
-            del self._single_cache[key]
+        for key in [k for k in self._supports
+                    if any(name in changed_set for name, _ in k)]:
+            del self._supports[key]
 
         raw.update(self._quantify_pairs(stale_pairs, report))
         self.last_run_stats["carried_pairs"] = report.carried_pairs

@@ -50,7 +50,7 @@ import time
 
 from repro.errors import SchemaVersionError
 from repro.fleet import wire
-from repro.harness.leases import CELL_DONE, CELL_FAILED, LeaseTable
+from repro.harness.leases import CELL_DONE, CELL_FAILED, LeaseTable, UnknownCellError
 from repro.telemetry import NULL_TELEMETRY
 
 __all__ = ["FleetConfig", "FleetCoordinator", "FleetServer", "serve"]
@@ -435,7 +435,11 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True  # the body may be left unread
             self._error(400, str(exc))
             return
-        response = getattr(self.coordinator, handler_name)(message)
+        try:
+            response = getattr(self.coordinator, handler_name)(message)
+        except UnknownCellError as exc:
+            self._error(400, str(exc))
+            return
         self._send_message(response)
 
 

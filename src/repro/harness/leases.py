@@ -53,12 +53,17 @@ __all__ = [
     "CELL_PENDING",
     "Cell",
     "LeaseTable",
+    "UnknownCellError",
 ]
 
 CELL_PENDING = "pending"
 CELL_LEASED = "leased"
 CELL_DONE = "done"
 CELL_FAILED = "failed"
+
+
+class UnknownCellError(ValueError):
+    """A transition named a cell index outside the table."""
 
 
 @dataclass
@@ -210,10 +215,17 @@ class LeaseTable:
             self._repend(cell, now)
         return dropped
 
+    def _cell(self, index: int) -> Cell:
+        """The cell at ``index``, refusing negative and too-large ones."""
+        if not isinstance(index, int) or not 0 <= index < len(self.cells):
+            raise UnknownCellError("no cell %r in a table of %d"
+                                   % (index, len(self.cells)))
+        return self.cells[index]
+
     def release(self, agent: str, index: int, epoch: int, now: float) -> bool:
         """A voluntary give-back (shutdown, injected fault): re-pend
         without charging the retry budget. Stale epochs are ignored."""
-        cell = self.cells[index]
+        cell = self._cell(index)
         if cell.state != CELL_LEASED or cell.agent != agent \
                 or cell.epoch != epoch:
             return False
@@ -225,7 +237,7 @@ class LeaseTable:
                  outcome_blob: Any, now: float,
                  from_cache: bool = False) -> Tuple[bool, str]:
         """Fold one successful result in; returns ``(accepted, reason)``."""
-        cell = self.cells[index]
+        cell = self._cell(index)
         if cell.state == CELL_DONE:
             return False, "duplicate: cell already settled"
         if cell.state != CELL_LEASED:
@@ -245,7 +257,7 @@ class LeaseTable:
     def fail(self, agent: str, index: int, epoch: int,
              failure: Any, now: float) -> Tuple[bool, str]:
         """Record a reported failure; re-pend while budget remains."""
-        cell = self.cells[index]
+        cell = self._cell(index)
         if cell.state != CELL_LEASED or cell.epoch != epoch \
                 or cell.agent != agent:
             return False, "no live lease under this epoch"

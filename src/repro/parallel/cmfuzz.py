@@ -25,6 +25,7 @@ from repro.core.allocation import AllocationResult, allocate
 from repro.core.extraction import extract_entities
 from repro.core.model import ConfigurationModel
 from repro.core.mutation import ConfigMutator, GuidedConfigMutator, SaturationDetector
+from repro.core.probes import CachedProbeExecutor, build_probe_executor, probe_memo
 from repro.core.reassembly import ConfigBundle, reassemble_group
 from repro.core.relation import ModelBuildSummary, RelationQuantifier
 from repro.errors import StartupError, TargetHang
@@ -32,7 +33,6 @@ from repro.fuzzing.engine import FuzzEngine
 from repro.parallel.base import ParallelMode
 from repro.parallel.instance import FuzzingInstance
 from repro.parallel.registry import register_mode
-from repro.targets.base import startup_probe_for
 from repro.targets.faults import SanitizerFault
 from repro.telemetry import NULL_TELEMETRY
 
@@ -107,11 +107,10 @@ class CmFuzzMode(ParallelMode):
         self.model = ConfigurationModel(entities)
 
         # A configuration combination that crashes the target during
-        # startup is both a finding and zero startup coverage. With
-        # probe workers or the probe cache enabled, execution goes
-        # through the probe-executor stack; faults travel inside the
-        # outcomes and replay through on_fault, so the bug ledger is
-        # identical either way (and on warm-cache rebuilds).
+        # startup is both a finding and zero startup coverage. Faults
+        # travel inside the probe outcomes and replay through on_fault,
+        # so the bug ledger is identical however the probes ran or
+        # whichever store (this process's memo, the disk cache) held them.
         workers = (self.probe_workers if self.probe_workers is not None
                    else getattr(ctx, "probe_workers", 1))
         cache = (self.probe_cache if self.probe_cache is not None
@@ -122,25 +121,16 @@ class CmFuzzMode(ParallelMode):
         def on_fault(fault):
             ctx.record_startup_fault(fault, instance=-1)
 
-        if workers > 1 or cache:
-            from repro.core.probes import build_probe_executor
-
-            executor = build_probe_executor(
-                target_cls.NAME, workers=workers, cache=cache,
-                cache_dir=cache_dir, telemetry=telemetry,
-                injector=getattr(ctx, "io_injector", None),
-            )
-            quantifier = RelationQuantifier(
-                max_combinations=self.max_combinations,
-                aggregate=self.aggregate, executor=executor,
-                on_fault=on_fault, telemetry=telemetry,
-            )
-        else:
-            probe = startup_probe_for(target_cls, on_fault=on_fault)
-            quantifier = RelationQuantifier(
-                probe, max_combinations=self.max_combinations,
-                aggregate=self.aggregate, telemetry=telemetry,
-            )
+        executor = build_probe_executor(
+            target_cls, workers=workers, cache=cache, cache_dir=cache_dir,
+            telemetry=telemetry, injector=getattr(ctx, "io_injector", None),
+        )
+        quantifier = RelationQuantifier(
+            max_combinations=self.max_combinations,
+            aggregate=self.aggregate, on_fault=on_fault, telemetry=telemetry,
+            executor=CachedProbeExecutor(executor, target_cls,
+                                         probe_memo(target_cls)),
+        )
         with telemetry.span("cmfuzz.quantify", target=target_cls.NAME):
             self.relation_model, report = quantifier.quantify(self.model)
         # Keep only the summary: checkpoints pickle the mode, and the

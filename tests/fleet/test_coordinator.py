@@ -113,6 +113,33 @@ class TestLiveness:
             assert "error" in json.loads(response.read())
         assert client.ping()
 
+    @pytest.mark.parametrize("endpoint,message", [
+        ("/v1/agents/result", wire.ResultReport(
+            agent_id="a", session_id="", cell_index=7, epoch=1,
+            outcome_blob="")),
+        ("/v1/agents/result", wire.ResultReport(
+            agent_id="a", session_id="", cell_index=-1, epoch=1,
+            failure={"kind": "exception"})),
+        ("/v1/agents/release", wire.LeaseRelease(
+            agent_id="a", session_id="", cell_index=-1, epoch=1)),
+    ], ids=["report-too-large", "failure-negative", "release-negative"])
+    def test_out_of_range_cell_index_gets_a_json_400(self, fleet, endpoint,
+                                                     message):
+        """A report or release naming a cell the session does not have
+        is a 400, not a dropped connection; the server keeps serving."""
+        server, client = fleet
+        session_id = _submit(client, [FakeSpec(1)]).session_id
+        body = wire.encode(dataclasses.replace(
+            message, session_id=session_id)).encode("utf-8")
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            sock.sendall(b"POST %s HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                         % (endpoint.encode("ascii"), len(body)) + body)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 400
+            assert "no cell" in json.loads(response.read())["error"]
+        assert client.ping()
+
     def test_stop_returns_promptly(self):
         server = serve().start()
         CoordinatorClient(server.url).wait_ready()

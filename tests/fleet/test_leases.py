@@ -6,12 +6,15 @@ zombie report, double-lease attempts, heartbeat jitter, stealing from
 the slowest queue.
 """
 
+import pytest
+
 from repro.harness.leases import (
     CELL_DONE,
     CELL_FAILED,
     CELL_LEASED,
     CELL_PENDING,
     LeaseTable,
+    UnknownCellError,
 )
 
 
@@ -237,6 +240,21 @@ class TestResults:
         assert table.cells[0].state == CELL_FAILED
         assert table.cells[0].failure["message"] == "boom"
         assert table.done and table.failed
+
+    @pytest.mark.parametrize("index", [-1, 1, 7])
+    def test_out_of_range_index_is_rejected(self, index):
+        """A negative index must not address a cell from the end, nor a
+        too-large one escape as a bare IndexError."""
+        table = _table(1)
+        cell = table.lease("a", now=0.0)
+        with pytest.raises(UnknownCellError):
+            table.complete("a", index, cell.epoch, "out", now=1.0)
+        with pytest.raises(UnknownCellError):
+            table.fail("a", index, cell.epoch, {"kind": "exception"},
+                       now=1.0)
+        with pytest.raises(UnknownCellError):
+            table.release("a", index, cell.epoch, now=1.0)
+        assert table.cells[0].state == CELL_LEASED  # nothing was touched
 
     def test_zombie_failure_report_discarded(self):
         table = _table(1, lease_ttl=10.0, retries=0)
